@@ -333,10 +333,8 @@ func BenchmarkSweepCache_Warm(b *testing.B) {
 
 // benchLockstepJobs is the seed-ensemble workload the lockstep
 // benchmarks run: K noise realisations of one linear design point under
-// dense-spectrum wideband excitation (4096 tones — the stochastic
-// wideband regime from PR 4, where evaluating the excitation dominates
-// the step cost and the lockstep engine's shared evaluation pays most;
-// DESIGN.md derives the (3A+S)/(A+L) speedup ceiling this approaches).
+// dense-spectrum wideband excitation (4096 tones, the MaxNoiseTones
+// ceiling, where evaluating the excitation costs the most per step).
 func benchLockstepJobs(k int, duration float64) []batch.Job {
 	jobs := make([]batch.Job, k)
 	for i, seed := range batch.Seeds(42, k) {
@@ -365,8 +363,8 @@ func BenchmarkEnsembleLockstep_Solo(b *testing.B) {
 }
 
 // BenchmarkEnsembleLockstep_Lockstep is the B side: the same 16 seeds
-// marched as one lockstep unit (shared excitation evaluation, shared
-// factorisation and stability analysis via content-keyed stores).
+// marched as one lockstep unit (factorisations shared through a
+// content-keyed store).
 // Output is bit-identical to _Solo — the determinism suite pins it.
 func BenchmarkEnsembleLockstep_Lockstep(b *testing.B) {
 	jobs := benchLockstepJobs(16, 0.5)

@@ -193,9 +193,9 @@ func AssembleEnsemble(scs []Scenario) ([]*Harvester, *EnsembleWorkspace, error) 
 }
 
 // RunEnsemble runs the members' engines over [0, duration] in lockstep,
-// sharing factorisations and stability analyses where the members'
-// Jacobians agree; member i's outcome is bit-identical to a solo
-// RunEngine. Returns one error slot per member.
+// sharing factorisations where the members' Jacobians agree; member i's
+// outcome is bit-identical to a solo RunEngine. Returns one error slot
+// per member.
 func RunEnsemble(hs []*Harvester, engs []Engine, duration float64) []error {
 	return harvester.RunEnsemble(hs, engs, duration)
 }

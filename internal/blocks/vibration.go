@@ -38,16 +38,21 @@ type Vibration struct {
 	Amplitude float64 // peak base acceleration of the sinusoid [m/s^2]
 	segs      []vibSeg
 
-	noise NoiseSpec   // zero value = no stochastic component
-	tones []noiseTone // realisation of noise, derived from the spec
+	noise NoiseSpec // zero value = no stochastic component
+	// Realisation of noise, derived from the spec: one column per tone
+	// field (angular frequency [rad/s], phase [rad], amplitude [m/s^2]),
+	// the layout the tone-sum kernel streams through.
+	toneW, tonePhi, toneAmp []float64
 
-	// Single-entry Accel memo (EnableAccelMemo): the engines evaluate
-	// Accel up to three times per step at the same t (two linearise
-	// passes and the observer), and in a lockstep ensemble that
-	// redundant trigonometry dominates the shared-work savings.
-	memoOn bool
-	memoT  float64 // NaN = empty/invalidated
-	memoA  float64
+	// Single-entry Accel memo: the engines evaluate Accel three to four
+	// times per step at the same t (the linearise passes and the
+	// observers). Accel is a pure function of (t, Amplitude, profile,
+	// noise); the memo is keyed on t and the bits of Amplitude, and
+	// every profile or noise mutation invalidates it, so a hit returns
+	// the bits a recomputation would.
+	memoT   float64 // NaN = empty/invalidated
+	memoAmp uint64  // math.Float64bits(Amplitude) of the memoised value
+	memoA   float64
 }
 
 // NoiseSpec declares a band-limited stochastic excitation: stationary
@@ -109,13 +114,6 @@ func (n NoiseSpec) Validate() error {
 	return nil
 }
 
-// noiseTone is one spectral line of the realisation.
-type noiseTone struct {
-	w   float64 // angular frequency [rad/s]
-	phi float64 // phase [rad]
-	amp float64 // amplitude [m/s^2]
-}
-
 type vibSeg struct {
 	t0     float64 // segment start time
 	freq   float64 // [Hz] at t0
@@ -129,6 +127,7 @@ func NewVibration(amplitude, f0 float64) *Vibration {
 	return &Vibration{
 		Amplitude: amplitude,
 		segs:      []vibSeg{{t0: 0, freq: f0, phase0: 0}},
+		memoT:     math.NaN(),
 	}
 }
 
@@ -162,7 +161,7 @@ func (v *Vibration) addSeg(t, f, rate float64) {
 
 // Reset discards every scheduled frequency change AND any configured
 // stochastic component, restarting the source at constant frequency f0
-// from phase zero at t=0. All storage (segment slice, tone slice) is
+// from phase zero at t=0. All storage (segment slice, tone columns) is
 // kept for reuse, so a Reset/ConfigureNoise cycle on a warm source does
 // not allocate. Callers that want the noise back after Reset re-apply
 // the spec with ConfigureNoise — with an equal spec the regenerated
@@ -171,7 +170,7 @@ func (v *Vibration) Reset(f0 float64) {
 	v.segs = v.segs[:1]
 	v.segs[0] = vibSeg{t0: 0, freq: f0}
 	v.noise = NoiseSpec{}
-	v.tones = v.tones[:0]
+	v.setTones(0)
 	v.memoT = math.NaN()
 }
 
@@ -182,7 +181,7 @@ func (v *Vibration) Reset(f0 float64) {
 // contract-violation policy as the segment scheduler; callers that need
 // graceful rejection check Validate first.
 func (v *Vibration) ConfigureNoise(spec NoiseSpec) {
-	v.tones = v.tones[:0]
+	v.setTones(0)
 	v.memoT = math.NaN()
 	v.noise = spec
 	if !spec.Enabled() {
@@ -200,11 +199,25 @@ func (v *Vibration) ConfigureNoise(spec NoiseSpec) {
 	df := (spec.FHi - spec.FLo) / float64(n)
 	// Equal power per sub-band: RMS of the sum is sqrt(n * amp^2 / 2).
 	amp := math.Abs(spec.RMS) * math.Sqrt(2/float64(n))
+	v.setTones(n)
 	for k := 0; k < n; k++ {
 		f := spec.FLo + (float64(k)+rng.float64())*df
-		phi := 2 * math.Pi * rng.float64()
-		v.tones = append(v.tones, noiseTone{w: 2 * math.Pi * f, phi: phi, amp: amp})
+		v.toneW[k] = 2 * math.Pi * f
+		v.tonePhi[k] = 2 * math.Pi * rng.float64()
+		v.toneAmp[k] = amp
 	}
+}
+
+// setTones sizes the tone columns to n, reusing their storage when it
+// is large enough and otherwise allocating each at exactly n.
+func (v *Vibration) setTones(n int) {
+	if cap(v.toneW) < n {
+		v.toneW = make([]float64, n)
+		v.tonePhi = make([]float64, n)
+		v.toneAmp = make([]float64, n)
+		return
+	}
+	v.toneW, v.tonePhi, v.toneAmp = v.toneW[:n], v.tonePhi[:n], v.toneAmp[:n]
 }
 
 // Noise returns the spec of the configured stochastic component (zero
@@ -252,30 +265,16 @@ func (v *Vibration) Phase(t float64) float64 { return v.seg(t).phaseAt(t) }
 // Accel returns the base acceleration a(t) [m/s^2]: the sinusoidal
 // component plus the stochastic component when one is configured. The
 // evaluation is allocation-free — it sits on the engines' per-step hot
-// path (linearisation refresh, observer, frequency meter).
+// path (linearisation refresh, observer, frequency meter) — and the tone
+// sum runs through toneSum, bit-identical to the scalar loop on every
+// host.
 func (v *Vibration) Accel(t float64) float64 {
-	if v.memoOn && t == v.memoT {
+	ampBits := math.Float64bits(v.Amplitude)
+	if t == v.memoT && ampBits == v.memoAmp {
 		return v.memoA
 	}
 	a := v.Amplitude * math.Sin(v.Phase(t))
-	for i := range v.tones {
-		tn := &v.tones[i]
-		a += tn.amp * math.Sin(tn.w*t+tn.phi)
-	}
-	if v.memoOn {
-		v.memoT, v.memoA = t, a
-	}
+	a = toneSum(v.toneW, v.tonePhi, v.toneAmp, t, a)
+	v.memoT, v.memoAmp, v.memoA = t, ampBits, a
 	return a
-}
-
-// EnableAccelMemo turns on a single-entry memo of the last Accel
-// evaluation. Accel is a pure function of (t, profile, noise), so the
-// memo returns the identical bits a recomputation would; every profile
-// or noise mutation (SetFrequency, Sweep, Reset, ConfigureNoise)
-// invalidates it. Callers that mutate Amplitude directly mid-run must
-// not enable the memo. The lockstep ensemble path enables it because
-// the engines evaluate Accel several times per step at one t.
-func (v *Vibration) EnableAccelMemo() {
-	v.memoOn = true
-	v.memoT = math.NaN()
 }

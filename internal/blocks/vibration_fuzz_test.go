@@ -10,8 +10,9 @@ import (
 // (re)configuration, resets, amplitude changes — and asserts the
 // contract that the engines rely on: Accel/Freq/Phase stay finite and
 // bounded for any in-contract schedule, the accumulated phase never
-// runs backwards while the frequency is positive, and no operation
-// panics. The decoder maps raw bytes into the contract domain (times
+// runs backwards while the frequency is positive, Accel — memo hits
+// included — returns the bits of the scalar reference loop, and no
+// operation panics. The decoder maps raw bytes into the contract domain (times
 // non-decreasing, bands ordered, finite values); out-of-contract calls
 // are a documented panic and are not generated here.
 func FuzzVibrationSchedule(f *testing.F) {
@@ -70,6 +71,10 @@ func FuzzVibrationSchedule(f *testing.F) {
 			acc, fr, ph := v.Accel(tm), v.Freq(tm), v.Phase(tm)
 			if math.IsNaN(acc) || math.IsInf(acc, 0) || math.Abs(acc) > bound {
 				t.Fatalf("Accel(%g) = %g out of bound %g", tm, acc, bound)
+			}
+			ref := toneSumRef(v.toneW, v.tonePhi, v.toneAmp, tm, v.Amplitude*math.Sin(ph))
+			if again := v.Accel(tm); !sameBits(acc, ref) || !sameBits(again, ref) {
+				t.Fatalf("Accel(%g) = %v, then %v from the memo; reference loop %v", tm, acc, again, ref)
 			}
 			if math.IsNaN(fr) || math.IsInf(fr, 0) || fr <= 0 {
 				t.Fatalf("Freq(%g) = %g, want finite positive", tm, fr)

@@ -114,15 +114,14 @@ type Engine struct {
 	ws *Workspace
 
 	// share, when set (by EnsembleEngine), lets this member serve its
-	// elimination factorisations and stability analyses from a content-
-	// addressed store common to the whole lockstep ensemble. Every hit is
-	// verified against the exact matrix contents, so a shared result is
-	// bit-identical to the private computation it replaces — members that
-	// drift apart (a Duffing retangent) simply stop matching and fall
-	// back to private work.
+	// elimination factorisations from a content-addressed store common to
+	// the whole lockstep ensemble. Every hit is verified against the exact
+	// matrix contents, so a shared factorisation is bit-identical to the
+	// private one it replaces — members that drift apart (a Duffing
+	// retangent) simply stop matching and fall back to private work.
 	share *EnsembleShared
 
-	// luRef is the factorisation solveY and refreshStability use: luYY
+	// luRef is the factorisation solveY and computeStability use: luYY
 	// when the engine owns its factors, an immutable shared entry when
 	// the ensemble store served one.
 	luRef *la.LU
@@ -277,21 +276,14 @@ func (e *Engine) refresh(first bool) (relChange float64, err error) {
 }
 
 // refreshStability recomputes the reduced state matrix
-// Jxx - Jxy*inv(Jyy)*Jyx and its explicit-integration step caps. In a
-// lockstep ensemble the analysis itself is served from the shared store
-// when another member already did it for identical Jacobians; the
-// bookkeeping tail (cap tracking, drift reset, stats) is always
-// per-member, so a served member's counters match its solo run exactly.
+// Jxx - Jxy*inv(Jyy)*Jyx and its explicit-integration step caps, then
+// does the bookkeeping (cap tracking, drift reset, stats).
 func (e *Engine) refreshStability() error {
 	var phaseStart time.Time
 	if e.Phases != nil {
 		phaseStart = time.Now()
 	}
-	if e.share != nil {
-		if err := e.share.stabilityFor(e); err != nil {
-			return err
-		}
-	} else if err := e.computeStability(); err != nil {
+	if err := e.computeStability(); err != nil {
 		return err
 	}
 	if e.Phases != nil {

@@ -8,58 +8,38 @@ import (
 
 // EnsembleShared is the work store of a lockstep ensemble: K engines
 // marching K seeds of one design point share elimination factorisations
-// and reduced-matrix stability analyses through it, so a computation
-// any member already performed for the exact same inputs is served, not
-// repeated. Entries are content-addressed (FNV-1a over the raw float
-// bits) and every lookup verifies the full contents against the stored
-// copy, so a hit is bit-identical to the private computation it elides
-// — collisions cost a miss, never a wrong answer. That makes sharing a
-// pure optimisation: members whose Jacobians drift apart (a Duffing
-// retangent, a diode segment change) simply stop matching and fall back
-// to per-member work, exactly as the solo engine would.
+// through it, so a factorisation any member already performed for the
+// exact same Jyy contents is served, not repeated. Entries are
+// content-addressed (FNV-1a over the raw float bits) and every lookup
+// verifies the full contents against the stored copy, so a hit is
+// bit-identical to the private factorisation it elides — collisions cost
+// a miss, never a wrong answer. That makes sharing a pure optimisation:
+// members whose Jacobians drift apart (a Duffing retangent, a diode
+// segment change) simply stop matching and fall back to per-member work,
+// exactly as the solo engine would.
 //
 // The store is confined to one goroutine (the lockstep unit); it is not
 // locked.
 type EnsembleShared struct {
 	factors map[uint64][]*factorEntry
-	stabs   map[uint64][]*stabEntry
 	entries int
 
 	// Counters for diagnostics and tests.
 	FactorHits, FactorMisses int
-	StabHits, StabMisses     int
 }
 
-// ensembleStoreCap bounds the store; past it both maps are cleared
+// ensembleStoreCap bounds the store; past it the map is cleared
 // (deterministically — eviction only ever costs recomputation).
 const ensembleStoreCap = 4096
 
 // NewEnsembleShared returns an empty store.
 func NewEnsembleShared() *EnsembleShared {
-	return &EnsembleShared{
-		factors: make(map[uint64][]*factorEntry),
-		stabs:   make(map[uint64][]*stabEntry),
-	}
+	return &EnsembleShared{factors: make(map[uint64][]*factorEntry)}
 }
 
 type factorEntry struct {
 	jyy []float64 // exact matrix contents the factorisation is of
 	lu  *la.LU
-}
-
-type stabEntry struct {
-	// Inputs: the four Jacobian contents, whether the balancing scales
-	// were recomputed, and (when they were not) the scales that were
-	// applied.
-	jac       [4][]float64
-	recompute bool
-	dScaleIn  []float64
-
-	// Outputs of computeStability for those inputs.
-	red       []float64
-	dScaleOut []float64
-	hRealFE   float64
-	rhoOsc    float64
 }
 
 func hashFloats(h *uint64, v []float64) {
@@ -95,7 +75,6 @@ func (s *EnsembleShared) maybeEvict() {
 		return
 	}
 	s.factors = make(map[uint64][]*factorEntry)
-	s.stabs = make(map[uint64][]*stabEntry)
 	s.entries = 0
 }
 
@@ -126,85 +105,11 @@ func (s *EnsembleShared) factorOf(jyy *la.Matrix) (*la.LU, error) {
 	return lu, nil
 }
 
-// stabilityFor serves (or computes and stores) the reduced-matrix
-// stability analysis for engine e's current Jacobians. The analysis is
-// a pure function of the four Jacobian contents, the recompute-scales
-// decision (scaleAge >= 16, part of the key) and — when the cached
-// scales are re-applied — the scales themselves; a hit restores every
-// output computeStability would have produced, bit for bit, including
-// the scaleAge progression.
-func (s *EnsembleShared) stabilityFor(e *Engine) error {
-	sys := e.Sys
-	jac := [4]*la.Matrix{sys.Jxx, sys.Jxy, sys.Jyx, sys.Jyy}
-	recompute := e.scaleAge >= 16
-	key := newHash()
-	for _, m := range jac {
-		hashFloats(&key, m.Data)
-	}
-	if recompute {
-		key ^= 1
-	} else {
-		hashFloats(&key, e.dScale)
-	}
-	for _, ent := range s.stabs[key] {
-		if ent.recompute != recompute {
-			continue
-		}
-		match := true
-		for m := range jac {
-			if !floatsEqual(ent.jac[m], jac[m].Data) {
-				match = false
-				break
-			}
-		}
-		if match && !recompute && !floatsEqual(ent.dScaleIn, e.dScale) {
-			match = false
-		}
-		if !match {
-			continue
-		}
-		s.StabHits++
-		copy(e.red.Data, ent.red)
-		copy(e.dScale, ent.dScaleOut)
-		e.hRealFE = ent.hRealFE
-		e.rhoOsc = ent.rhoOsc
-		if recompute {
-			e.scaleAge = 1
-		} else {
-			e.scaleAge++
-		}
-		return nil
-	}
-	s.StabMisses++
-	var dScaleIn []float64
-	if !recompute {
-		dScaleIn = append([]float64(nil), e.dScale...)
-	}
-	if err := e.computeStability(); err != nil {
-		return err
-	}
-	ent := &stabEntry{
-		recompute: recompute,
-		dScaleIn:  dScaleIn,
-		red:       append([]float64(nil), e.red.Data...),
-		dScaleOut: append([]float64(nil), e.dScale...),
-		hRealFE:   e.hRealFE,
-		rhoOsc:    e.rhoOsc,
-	}
-	for m := range jac {
-		ent.jac[m] = append([]float64(nil), jac[m].Data...)
-	}
-	s.maybeEvict()
-	s.stabs[key] = append(s.stabs[key], ent)
-	s.entries++
-	return nil
-}
-
 // EnsembleEngine marches K member engines — K seeds of one design point
 // — in lockstep: every member advances by one accepted step per round,
-// and the members share elimination factorisations and stability
-// analyses through a common content-addressed store, so one
-// factorisation serves all K seeds for as long as their Jacobians agree
+// and the members share elimination factorisations through a common
+// content-addressed store, so one factorisation serves all K seeds for
+// as long as their Jacobians agree
 // (always, for a linear device). Each member still runs its exact solo
 // march — its own adaptive grid, its own noise realisation, its own
 // retangenting — so lockstep output is bit-identical to K solo runs by

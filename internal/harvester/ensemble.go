@@ -9,9 +9,7 @@ import (
 // AssembleEnsemble assembles one harvester per scenario — the K seeds
 // of one design point — against a shared structure-of-arrays ensemble
 // workspace, so the members' march-critical vectors are contiguous and
-// a lockstep run walks adjacent memory. Each member also gets the
-// vibration Accel memo enabled (a bit-exact pure-function memo; see
-// blocks.Vibration.EnableAccelMemo). The returned workspace keeps the
+// a lockstep run walks adjacent memory. The returned workspace keeps the
 // SoA blocks alive; it is otherwise only needed by tests.
 //
 // The scenarios are normally identical up to the noise seed, but
@@ -35,7 +33,6 @@ func AssembleEnsemble(scs []Scenario) ([]*Harvester, *core.EnsembleWorkspace, er
 		if err != nil {
 			return nil, nil, err
 		}
-		h.Vib.EnableAccelMemo()
 		hs[i] = h
 	}
 	return hs, ew, nil
@@ -45,8 +42,8 @@ func AssembleEnsemble(scs []Scenario) ([]*Harvester, *core.EnsembleWorkspace, er
 // with the harvester-level energy bookkeeping RunEngine performs,
 // returning one error slot per member. When every engine is the
 // proposed explicit engine the members march through
-// core.EnsembleEngine, sharing factorisations and stability analyses;
-// the implicit baselines have no lockstep mode and run sequentially
+// core.EnsembleEngine, sharing factorisations; the implicit baselines
+// have no lockstep mode and run sequentially
 // (which is trivially bit-identical to their solo runs). Either way,
 // member i's outcome is exactly hs[i].RunEngine(engs[i], duration).
 func RunEnsemble(hs []*Harvester, engs []Engine, duration float64) []error {
