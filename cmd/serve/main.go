@@ -56,7 +56,6 @@ func main() {
 		maxTime     = flag.Duration("max-request-time", 0, "per-request wall-clock budget ceiling (0 = 2m)")
 		cacheCap    = flag.Int("cache-cap", 0, "in-memory cache entries (0 = default capacity)")
 		cacheDir    = flag.String("cache-dir", "", "persist cached results under this directory (warm starts across restarts)")
-		noLock      = flag.Bool("no-lockstep", false, "disable the ensemble-lockstep dispatch server-wide (A/B timing; results are bit-identical either way)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the service mux")
 		alertFailed = flag.Float64("alert-failed", 0, "log an alert when cumulative failed jobs reach this count (0 = off)")
 		alertP99    = flag.Float64("alert-exec-p99", 0, "log an alert when sweep-execution p99 reaches this many seconds (0 = off)")
@@ -88,7 +87,6 @@ func main() {
 		MaxJobs:        *maxJobs,
 		MaxRequestTime: *maxTime,
 		Cache:          cache,
-		NoLockstep:     *noLock,
 	})
 
 	if *alertFailed > 0 {

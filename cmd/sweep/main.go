@@ -142,7 +142,6 @@ func main() {
 		useCache = flag.Bool("cache", false, "serve repeated candidates from an in-memory result cache")
 		cacheDir = flag.String("cache-dir", "", "persist cached results under this directory (implies -cache)")
 		remote   = flag.String("remote", "", "sweep server base URL (e.g. http://127.0.0.1:8080); runs the sweep remotely instead of simulating locally")
-		noLock   = flag.Bool("no-lockstep", false, "disable the ensemble-lockstep dispatch (A/B timing and bisection; results are bit-identical either way)")
 		trace    = flag.Bool("trace", false, "trace the sweep and render a per-phase waterfall of the slowest jobs (results are bit-identical either way)")
 		traceTop = flag.Int("trace-top", 5, "slowest jobs to show in the -trace waterfall")
 		verbose  = flag.Bool("v", false, "verbose: full cache counters and complete ensemble CI table")
@@ -188,7 +187,7 @@ func main() {
 	}
 
 	if *remote != "" {
-		if err := runRemote(os.Stdout, *remote, *simFor, *vc, *workers, *topK, k3s, *noiseSd, *seeds, bi, *noLock, *trace, *traceTop, *verbose); err != nil {
+		if err := runRemote(os.Stdout, *remote, *simFor, *vc, *workers, *topK, k3s, *noiseSd, *seeds, bi, *trace, *traceTop, *verbose); err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: remote: %v\n", err)
 			os.Exit(1)
 		}
@@ -245,7 +244,7 @@ func main() {
 	}
 	spec.Base.MetricKey = wire.MetricPStoreMeanSettled
 
-	opt := batch.Options{Workers: *workers, NoLockstep: *noLock}
+	opt := batch.Options{Workers: *workers}
 	switch {
 	case *cacheDir != "":
 		c, err := batch.NewDiskCache(0, *cacheDir)
@@ -493,10 +492,10 @@ func remoteSpec(simFor, vc float64, k3s []float64, noiseSd uint64, seeds int, bi
 // any job failed server-side; the caller turns that into a non-zero
 // exit.
 func runRemote(w io.Writer, baseURL string, simFor, vc float64, workers, topK int, k3s []float64,
-	noiseSd uint64, seeds int, bi bistableOpts, noLockstep, traced bool, traceTop int, verbose bool) error {
+	noiseSd uint64, seeds int, bi bistableOpts, traced bool, traceTop int, verbose bool) error {
 	baseURL = strings.TrimRight(baseURL, "/")
 	req := wire.SweepRequest{Spec: remoteSpec(simFor, vc, k3s, noiseSd, seeds, bi),
-		Workers: workers, NoLockstep: noLockstep}
+		Workers: workers}
 	if traced {
 		req.Trace = tracing.NewTraceID()
 	}

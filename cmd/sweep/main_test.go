@@ -54,7 +54,7 @@ func summaryLine(jobs, failed int) string {
 // contract is under test).
 func callRemote(srv *httptest.Server) (string, error) {
 	var out strings.Builder
-	err := runRemote(&out, srv.URL, 1, 2.5, 1, 5, nil, 0, 1, bistableOpts{}, false, false, 5, false)
+	err := runRemote(&out, srv.URL, 1, 2.5, 1, 5, nil, 0, 1, bistableOpts{}, false, 5, false)
 	return out.String(), err
 }
 

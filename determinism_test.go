@@ -123,46 +123,21 @@ func TestNoiseSeedsDistinctThroughBatch(t *testing.T) {
 	}
 }
 
-// lockstepEnsembleJobs builds one design point's seed ensemble — K jobs
-// sharing a Group, differing only in realisation seed — for the chosen
-// engine kind and Duffing coefficient.
-func lockstepEnsembleJobs(k int, kind EngineKind, k3, duration float64) []BatchJob {
-	jobs := make([]BatchJob, k)
-	for i, seed := range Seeds(11, k) {
-		sc := NoiseScenario(duration, 55, 85, seed)
-		sc.Cfg.Microgen.K3 = k3
-		jobs[i] = BatchJob{
-			Name: "lockstep", Group: "pt", Seed: seed,
-			Scenario: sc, Engine: kind, Decimate: 1,
-		}
+// sameMember extends sameResult to everything an ensemble reduction
+// consumes from a member: the EngineStats counters (the march must be
+// the same march, not just land on the same answer) and the basin
+// accounting.
+func sameMember(t *testing.T, label string, a, b BatchResult) {
+	t.Helper()
+	sameResult(t, label, a, b)
+	if a.Stats != b.Stats {
+		t.Errorf("%s: EngineStats differ:\n  %+v\n  %+v", label, a.Stats, b.Stats)
 	}
-	return jobs
-}
-
-// TestLockstepBitIdenticalAcrossEngines: a lockstep K-seed run is
-// bit-identical to the K solo runs it replaces, for every engine kind
-// and for both the linear device and the Duffing nonlinearity (whose
-// per-member retangenting makes the members' Jacobians diverge, forcing
-// the shared store onto its per-member fallback).
-func TestLockstepBitIdenticalAcrossEngines(t *testing.T) {
-	kinds := []EngineKind{Proposed, ExistingTrap, ExistingBDF2, ExistingBE}
-	for _, kind := range kinds {
-		for _, k3 := range []float64{0, 1e9} {
-			label := kind.String()
-			if k3 != 0 {
-				label += "+duffing"
-			}
-			dur := 0.3
-			if kind != Proposed {
-				dur = 0.1 // the implicit baselines are ~50x slower
-			}
-			jobs := lockstepEnsembleJobs(3, kind, k3, dur)
-			solo := RunBatchSerial(jobs, BatchOptions{NoLockstep: true})
-			lock := RunBatchSerial(jobs, BatchOptions{})
-			for i := range jobs {
-				sameResult(t, label, solo[i], lock[i])
-			}
-		}
+	if a.Transits != b.Transits || a.SettledTransits != b.SettledTransits ||
+		a.FinalBasin != b.FinalBasin {
+		t.Errorf("%s: basin accounting differs: (%d,%d,%+d) vs (%d,%d,%+d)", label,
+			a.Transits, a.SettledTransits, a.FinalBasin,
+			b.Transits, b.SettledTransits, b.FinalBasin)
 	}
 }
 
@@ -174,99 +149,75 @@ func bistableEnsembleJobs(k int, kind EngineKind, duration float64) []BatchJob {
 	for i, seed := range Seeds(13, k) {
 		sc := BistableScenario(duration, BistableWellM, BistableBarrierJ, 120, -3.4e4, 8, 40, seed)
 		jobs[i] = BatchJob{
-			Name: "bistable-lockstep", Group: "bi", Seed: seed,
+			Name: "bistable-ens", Group: "bi", Seed: seed,
 			Scenario: sc, Engine: kind, Decimate: 1,
 		}
 	}
 	return jobs
 }
 
-// TestBistableLockstepBitIdenticalAcrossEngines: a lockstep K-seed run
-// of the double-well workload is bit-identical to the K solo runs it
-// replaces, for every engine kind — including the EngineStats counters
-// (the march must be the same march, not just land on the same answer)
-// and the basin accounting the ensemble reductions consume.
-func TestBistableLockstepBitIdenticalAcrossEngines(t *testing.T) {
-	kinds := []EngineKind{Proposed, ExistingTrap, ExistingBDF2, ExistingBE}
-	for _, kind := range kinds {
-		dur := 0.5
-		if kind != Proposed {
-			dur = 0.15 // the implicit baselines are much slower
-		}
-		jobs := bistableEnsembleJobs(3, kind, dur)
-		solo := RunBatchSerial(jobs, BatchOptions{NoLockstep: true})
-		lock := RunBatchSerial(jobs, BatchOptions{})
-		for i := range jobs {
-			sameResult(t, kind.String(), solo[i], lock[i])
-			a, b := solo[i], lock[i]
-			if a.Stats != b.Stats {
-				t.Errorf("%v[%d]: EngineStats differ:\nsolo %+v\nlock %+v", kind, i, a.Stats, b.Stats)
-			}
-			if a.Transits != b.Transits || a.SettledTransits != b.SettledTransits ||
-				a.FinalBasin != b.FinalBasin {
-				t.Errorf("%v[%d]: basin accounting differs: (%d,%d,%+d) vs (%d,%d,%+d)",
-					kind, i, a.Transits, a.SettledTransits, a.FinalBasin,
-					b.Transits, b.SettledTransits, b.FinalBasin)
-			}
-		}
-	}
-}
-
 // TestEnsembleReductionInvariantAcrossDispatch: the Ensembles reduction
-// of a seed sweep is invariant across serial singleton, pooled
-// singleton, serial lockstep and pooled lockstep execution — the
-// statistics are computed in job order over bit-identical member
-// results, so the dispatch strategy cannot show through.
+// of a seed sweep, and every member result it reduces, is identical
+// between serial execution and the pool — the statistics are computed
+// in job order over bit-identical member results, so the dispatch
+// cannot show through.
 func TestEnsembleReductionInvariantAcrossDispatch(t *testing.T) {
-	jobs := lockstepEnsembleJobs(4, Proposed, 1e9, 0.4)
-	ref := Ensembles(RunBatchSerial(jobs, BatchOptions{NoLockstep: true}))
-	runs := map[string][]BatchResult{
-		"pooled-solo":     RunBatch(context.Background(), jobs, BatchOptions{Workers: 4, NoLockstep: true}),
-		"serial-lockstep": RunBatchSerial(jobs, BatchOptions{}),
-		"pooled-lockstep": RunBatch(context.Background(), jobs, BatchOptions{Workers: 4}),
-	}
-	for label, results := range runs {
-		points := Ensembles(results)
-		if len(points) != len(ref) {
-			t.Fatalf("%s: %d points, want %d", label, len(points), len(ref))
+	// One Duffing design point's seed ensemble: 4 jobs sharing a Group,
+	// differing only in realisation seed.
+	jobs := make([]BatchJob, 4)
+	for i, seed := range Seeds(11, len(jobs)) {
+		sc := NoiseScenario(0.4, 55, 85, seed)
+		sc.Cfg.Microgen.K3 = 1e9
+		jobs[i] = BatchJob{
+			Name: "noise-ens", Group: "pt", Seed: seed,
+			Scenario: sc, Engine: Proposed, Decimate: 1,
 		}
-		for i := range ref {
-			a, b := ref[i], points[i]
-			if a.Group != b.Group || a.N != b.N || a.Failed != b.Failed ||
-				a.Mean != b.Mean || a.Variance != b.Variance || a.CI95 != b.CI95 ||
-				a.MeanVc != b.MeanVc {
-				t.Errorf("%s: point %d differs: %+v vs %+v", label, i, a, b)
-			}
+	}
+	serial := RunBatchSerial(jobs, BatchOptions{})
+	pooled := RunBatch(context.Background(), jobs, BatchOptions{Workers: 4})
+	for i := range jobs {
+		sameMember(t, "member", serial[i], pooled[i])
+	}
+	ref, points := Ensembles(serial), Ensembles(pooled)
+	if len(points) != len(ref) {
+		t.Fatalf("pooled: %d points, want %d", len(points), len(ref))
+	}
+	for i := range ref {
+		a, b := ref[i], points[i]
+		if a.Group != b.Group || a.N != b.N || a.Failed != b.Failed ||
+			a.Mean != b.Mean || a.Variance != b.Variance || a.CI95 != b.CI95 ||
+			a.MeanVc != b.MeanVc {
+			t.Errorf("pooled: point %d differs: %+v vs %+v", i, a, b)
 		}
 	}
 }
 
 // TestBistableBasinReductionInvariantAcrossDispatch: the basin-aware
 // ensemble reductions — high-orbit fraction, mean transit count and the
-// per-basin statistics — are invariant across serial singleton, pooled
-// singleton, serial lockstep and pooled lockstep execution, exactly
-// like the Student-t statistics they ride alongside. This requires the
-// basin observer's settle boundary to be part of the job identity (set
-// identically by the fresh and lockstep dispatch paths), not an
-// artifact of how the run was scheduled.
+// per-basin statistics — and the member results they reduce are
+// identical between serial and pooled execution on every engine kind,
+// exactly like the Student-t statistics they ride alongside. This
+// requires the basin observer's settle boundary to be part of the job
+// identity, not an artifact of how the run was scheduled.
 func TestBistableBasinReductionInvariantAcrossDispatch(t *testing.T) {
-	jobs := bistableEnsembleJobs(4, Proposed, 0.8)
-	ref := Ensembles(RunBatchSerial(jobs, BatchOptions{NoLockstep: true}))
-	if len(ref) != 1 {
-		t.Fatalf("want 1 ensemble point, got %d", len(ref))
-	}
-	if len(ref[0].Basins) == 0 {
-		t.Fatal("reference reduction carries no basin statistics — workload not bistable?")
-	}
-	runs := map[string][]BatchResult{
-		"pooled-solo":     RunBatch(context.Background(), jobs, BatchOptions{Workers: 4, NoLockstep: true}),
-		"serial-lockstep": RunBatchSerial(jobs, BatchOptions{}),
-		"pooled-lockstep": RunBatch(context.Background(), jobs, BatchOptions{Workers: 4}),
-	}
-	for label, results := range runs {
-		points := Ensembles(results)
-		if len(points) != 1 {
-			t.Fatalf("%s: %d points, want 1", label, len(points))
+	for _, kind := range []EngineKind{Proposed, ExistingTrap, ExistingBDF2, ExistingBE} {
+		dur := 0.8
+		if kind != Proposed {
+			dur = 0.15 // the implicit baselines are much slower
+		}
+		label := kind.String()
+		jobs := bistableEnsembleJobs(4, kind, dur)
+		serial := RunBatchSerial(jobs, BatchOptions{})
+		pooled := RunBatch(context.Background(), jobs, BatchOptions{Workers: 4})
+		for i := range jobs {
+			sameMember(t, label, serial[i], pooled[i])
+		}
+		ref, points := Ensembles(serial), Ensembles(pooled)
+		if len(ref) != 1 || len(points) != 1 {
+			t.Fatalf("%s: %d / %d ensemble points, want 1", label, len(ref), len(points))
+		}
+		if len(ref[0].Basins) == 0 {
+			t.Fatalf("%s: reference reduction carries no basin statistics — workload not bistable?", label)
 		}
 		a, b := ref[0], points[0]
 		if a.HighOrbitFrac != b.HighOrbitFrac || a.MeanTransits != b.MeanTransits {

@@ -181,25 +181,6 @@ func NewWorkspacePool() *WorkspacePool { return core.NewWorkspacePool() }
 // frequency shifts, without running it.
 func Assemble(sc Scenario) (*Harvester, error) { return harvester.Assemble(sc) }
 
-// EnsembleWorkspace is the structure-of-arrays storage of a K-member
-// lockstep ensemble (see AssembleEnsemble).
-type EnsembleWorkspace = core.EnsembleWorkspace
-
-// AssembleEnsemble assembles one harvester per scenario — K seeds of
-// one design point — against a shared structure-of-arrays workspace,
-// ready for RunEnsemble's lockstep march.
-func AssembleEnsemble(scs []Scenario) ([]*Harvester, *EnsembleWorkspace, error) {
-	return harvester.AssembleEnsemble(scs)
-}
-
-// RunEnsemble runs the members' engines over [0, duration] in lockstep,
-// sharing factorisations where the members' Jacobians agree; member i's
-// outcome is bit-identical to a solo RunEngine. Returns one error slot
-// per member.
-func RunEnsemble(hs []*Harvester, engs []Engine, duration float64) []error {
-	return harvester.RunEnsemble(hs, engs, duration)
-}
-
 // AssembleWith is Assemble drawing storage from a workspace pool; call
 // Harvester.Release to hand the workspace back for the next assembly.
 func AssembleWith(sc Scenario, pool *WorkspacePool) (*Harvester, error) {

@@ -231,11 +231,13 @@ type Options struct {
 	// behaviour, kept for A/B benchmarking of the reuse path.
 	NoWorkspaceReuse bool
 
-	// NoLockstep disables ensemble-lockstep dispatch: seed-grouped jobs
-	// (same non-empty Job.Group, proposed engine, equal horizon) run as
-	// independent singletons instead of one shared-factorisation unit.
-	// Output is bit-identical either way (the determinism suite pins
-	// it); the switch exists for A/B benchmarking and bisection.
+	// NoLockstep has no effect. It used to select solo dispatch over an
+	// ensemble-lockstep engine that marched a design point's seeds as one
+	// unit; that engine is gone and every job, seed members included,
+	// now runs on its own. The field stays so callers that still set it,
+	// such as the harvbench ladder, keep compiling.
+	//
+	// Deprecated: seed-grouped jobs always run as ordinary jobs.
 	NoLockstep bool
 
 	// Cache, when set, serves cacheable jobs (see Cacheable) from the
@@ -309,10 +311,9 @@ func (o Options) settleFrac() float64 {
 // finish normally (the engines are non-preemptible single sweeps).
 func Run(ctx context.Context, jobs []Job, opt Options) []Result {
 	results := make([]Result, len(jobs))
-	units := lockstepUnits(jobs, opt)
 	n := opt.EffectiveWorkers()
-	if n > len(units) {
-		n = len(units)
+	if n > len(jobs) {
+		n = len(jobs)
 	}
 	if n < 1 {
 		n = 1
@@ -320,28 +321,22 @@ func Run(ctx context.Context, jobs []Job, opt Options) []Result {
 	next := make(chan int)
 	go func() {
 		defer close(next)
-		for u := range units {
-			// Check cancellation before offering the unit: with an idle
+		for i := range jobs {
+			// Check cancellation before offering the job: with an idle
 			// worker ready, the select below would otherwise pick its
 			// send case at random even on a done context.
 			if ctx.Err() == nil {
 				select {
-				case next <- u:
+				case next <- i:
 					continue
 				case <-ctx.Done():
 				}
 			}
-			// Unit u was never handed out, so the producer owns the
-			// remaining units' result slots exclusively — mark them
-			// cancelled.
-			for _, unit := range units[u:] {
-				for _, j := range unit {
-					results[j] = Result{Index: j, Name: jobName(jobs[j]), Job: jobs[j], Err: ctx.Err()}
-					opt.Metrics.observe(results[j])
-					if opt.OnResult != nil {
-						opt.OnResult(results[j])
-					}
-				}
+			// Index i was never handed out, so the producer owns
+			// results[i:] exclusively — mark them cancelled.
+			for j := i; j < len(jobs); j++ {
+				results[j] = Result{Index: j, Name: jobName(jobs[j]), Job: jobs[j], Err: ctx.Err()}
+				opt.emit(results[j])
 			}
 			return
 		}
@@ -358,10 +353,11 @@ func Run(ctx context.Context, jobs []Job, opt Options) []Result {
 			// later Run's workers inherit the warmed workspaces.
 			pool := workerPool(opt)
 			defer returnWorkerPool(opt, pool)
-			for u := range next {
-				// Each worker writes only its own unit's indices; the
-				// slots are disjoint, so no locking is needed.
-				runUnit(units[u], jobs, opt, results, pool)
+			for i := range next {
+				// Each worker writes only its own index; the slots are
+				// disjoint, so no locking is needed.
+				results[i] = runOne(i, jobs[i], opt, pool)
+				opt.emit(results[i])
 			}
 		}()
 	}
@@ -376,10 +372,20 @@ func RunSerial(jobs []Job, opt Options) []Result {
 	results := make([]Result, len(jobs))
 	pool := workerPool(opt)
 	defer returnWorkerPool(opt, pool)
-	for _, unit := range lockstepUnits(jobs, opt) {
-		runUnit(unit, jobs, opt, results, pool)
+	for i, job := range jobs {
+		results[i] = runOne(i, job, opt, pool)
+		opt.emit(results[i])
 	}
 	return results
+}
+
+// emit records a finished Result in the metrics and streams it through
+// OnResult.
+func (o Options) emit(res Result) {
+	o.Metrics.observe(res)
+	if o.OnResult != nil {
+		o.OnResult(res)
+	}
 }
 
 // workerPool returns a per-worker workspace pool — recycled from

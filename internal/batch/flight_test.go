@@ -10,21 +10,41 @@ import (
 	"harvsim/internal/harvester"
 )
 
-// countingEngineRuns wires a counter into the fresh-run path via a pure
+// counted wires a counter into the job's fresh-run path via a pure
 // (MetricKey-declared) metric: the closure only executes on a real
 // simulation, never on a cache or singleflight hit, so its call count is
 // the number of engine runs the batch performed.
-func countingJob(count *atomic.Int64) Job {
-	return Job{
-		Scenario:  cacheScenario(),
-		Engine:    harvester.Proposed,
-		MetricKey: "rms-counted",
-		Metric: func(h *harvester.Harvester, eng harvester.Engine) float64 {
-			count.Add(1)
-			settled := h.PMultIn.Slice(0.25/3, 0.25)
-			return settled.RMS()
-		},
+func counted(job Job, count *atomic.Int64) Job {
+	dur := job.Scenario.Duration
+	job.MetricKey = "rms-counted"
+	job.Metric = func(h *harvester.Harvester, eng harvester.Engine) float64 {
+		count.Add(1)
+		settled := h.PMultIn.Slice(dur/3, dur)
+		return settled.RMS()
 	}
+	return job
+}
+
+// countingJob is the cache test scenario with an engine-run counter.
+func countingJob(count *atomic.Int64) Job {
+	return counted(Job{Scenario: cacheScenario(), Engine: harvester.Proposed}, count)
+}
+
+// seedEnsembleJobs builds one design point's seed ensemble: k jobs
+// sharing a Group and differing only in the noise realisation seed.
+func seedEnsembleJobs(k int, duration float64, kind harvester.EngineKind) []Job {
+	jobs := make([]Job, k)
+	for i, seed := range Seeds(7, k) {
+		sc := harvester.NoiseScenario(duration, 55, 85, seed)
+		jobs[i] = Job{
+			Name:     "ens",
+			Group:    "point-0",
+			Seed:     seed,
+			Scenario: sc,
+			Engine:   kind,
+		}
+	}
+	return jobs
 }
 
 // TestSingleflightDedupesWithinRun submits many identical jobs through a
@@ -74,40 +94,56 @@ func TestSingleflightDedupesWithinRun(t *testing.T) {
 	}
 }
 
-// TestSingleflightDedupesAcrossRuns is the sweep-server situation: two
-// concurrent Run calls (two client requests) over one shared cache, same
-// job identity — the engine must run once in total.
+// TestSingleflightDedupesAcrossRuns is the sweep-server situation:
+// concurrent Run calls (client requests) over one shared cache with the
+// same job identities — each identity must reach the engine once in
+// total. A design point's seed ensemble is held to the same rule: its
+// members are ordinary jobs, so K seeds cost exactly K engine runs
+// however many clients request them at once.
 func TestSingleflightDedupesAcrossRuns(t *testing.T) {
-	var engineRuns atomic.Int64
-	c := NewCache(0)
-	const clients = 4
-	var wg sync.WaitGroup
-	resCh := make(chan Result, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := Run(context.Background(), []Job{countingJob(&engineRuns)},
-				Options{Workers: 1, Cache: c})[0]
-			resCh <- r
-		}()
+	const seeds = 4
+	cases := []struct {
+		name    string
+		clients int
+		jobs    func(count *atomic.Int64) []Job
+		want    int64
+	}{
+		{"identical", 4, func(count *atomic.Int64) []Job {
+			return []Job{countingJob(count)}
+		}, 1},
+		{"seed-ensemble", 2, func(count *atomic.Int64) []Job {
+			jobs := seedEnsembleJobs(seeds, 0.25, harvester.Proposed)
+			for i := range jobs {
+				jobs[i] = counted(jobs[i], count)
+			}
+			return jobs
+		}, seeds},
 	}
-	wg.Wait()
-	close(resCh)
-	if got := engineRuns.Load(); got != 1 {
-		t.Fatalf("%d concurrent identical requests ran %d engines, want 1", clients, got)
-	}
-	var first *Result
-	for r := range resCh {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Name, r.Err)
-		}
-		r := r
-		if first == nil {
-			first = &r
-			continue
-		}
-		samePhysics(t, "cross-run member", r, *first)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var engineRuns atomic.Int64
+			jobs := tc.jobs(&engineRuns)
+			c := NewCache(0)
+			runs := make([][]Result, tc.clients)
+			var wg sync.WaitGroup
+			for i := range runs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					runs[i] = Run(context.Background(), jobs, Options{Workers: 1, Cache: c})
+				}()
+			}
+			wg.Wait()
+			if got := engineRuns.Load(); got != tc.want {
+				t.Fatalf("%d concurrent requests for %d identities ran %d engines, want %d",
+					tc.clients, len(jobs), got, tc.want)
+			}
+			for _, results := range runs {
+				for i, r := range results {
+					samePhysics(t, "cross-run member", r, runs[0][i])
+				}
+			}
+		})
 	}
 }
 

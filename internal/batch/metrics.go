@@ -26,15 +26,9 @@ type Metrics struct {
 	// (Result.Shared): jobs that waited on an identical in-flight
 	// computation instead of recomputing it.
 	Shared *metrics.Counter
-	// LockstepUnits / LockstepMembers count multi-member ensemble units
-	// dispatched in lockstep and the jobs marched inside them — their
-	// ratio is the realised ensemble width.
-	LockstepUnits   *metrics.Counter
-	LockstepMembers *metrics.Counter
 	// EngineRunSeconds observes the wall time of every engine march that
-	// actually simulated: one observation per fresh singleton run, one
-	// per lockstep unit (the unit marches as a single engine pass).
-	// Cache hits and shares are excluded — they elide the engine.
+	// actually simulated: one observation per fresh run. Cache hits and
+	// shares are excluded — they elide the engine.
 	EngineRunSeconds *metrics.Histogram
 }
 
@@ -47,12 +41,8 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		Failed:    r.Counter("harvsim_batch_failed_total", "Jobs whose result carries an error (cancellations included)."),
 		CacheHits: r.Counter("harvsim_batch_cache_hits_total", "Jobs served from the content-addressed result cache (singleflight shares included)."),
 		Shared:    r.Counter("harvsim_batch_shared_total", "Cache hits obtained by waiting on an identical in-flight computation (singleflight)."),
-		LockstepUnits: r.Counter("harvsim_batch_lockstep_units_total",
-			"Multi-member seed-ensemble units dispatched in lockstep."),
-		LockstepMembers: r.Counter("harvsim_batch_lockstep_members_total",
-			"Jobs marched inside multi-member lockstep units."),
 		EngineRunSeconds: r.Histogram("harvsim_batch_engine_run_seconds",
-			"Wall time of engine marches that actually simulated (one observation per fresh run or lockstep unit).", nil),
+			"Wall time of engine marches that actually simulated (one observation per fresh run).", nil),
 	}
 }
 
@@ -80,14 +70,4 @@ func (m *Metrics) observeEngineRun(d time.Duration) {
 		return
 	}
 	m.EngineRunSeconds.Observe(d.Seconds())
-}
-
-// observeLockstepUnit records the dispatch of one multi-member lockstep
-// unit. Safe on a nil receiver.
-func (m *Metrics) observeLockstepUnit(members int) {
-	if m == nil {
-		return
-	}
-	m.LockstepUnits.Inc()
-	m.LockstepMembers.Add(int64(members))
 }

@@ -11,8 +11,8 @@ import (
 
 // TestMetricsAccumulateAcrossRuns pins the instrument semantics the
 // service layers scrape: counters accumulate across Run calls on one
-// bundle, cache hits don't re-observe the engine histogram, and a
-// lockstep unit is one engine observation but len(unit) job counts.
+// bundle, every fresh run (seed members included) is one engine
+// observation, and cache hits don't re-observe the engine histogram.
 func TestMetricsAccumulateAcrossRuns(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m := NewMetrics(reg)
@@ -24,21 +24,17 @@ func TestMetricsAccumulateAcrossRuns(t *testing.T) {
 	if m.Jobs.Value() != 4 || m.Failed.Value() != 0 || m.CacheHits.Value() != 0 {
 		t.Fatalf("cold: jobs=%d failed=%d hits=%d", m.Jobs.Value(), m.Failed.Value(), m.CacheHits.Value())
 	}
-	if m.LockstepUnits.Value() != 1 || m.LockstepMembers.Value() != 4 {
-		t.Errorf("cold: lockstep units=%d members=%d", m.LockstepUnits.Value(), m.LockstepMembers.Value())
-	}
-	if m.EngineRunSeconds.Count() != 1 {
-		t.Errorf("cold: engine observations = %d, want 1 (one lockstep march)", m.EngineRunSeconds.Count())
+	if m.EngineRunSeconds.Count() != 4 {
+		t.Errorf("cold: engine observations = %d, want 4 (one per seed member)", m.EngineRunSeconds.Count())
 	}
 
-	// Warm rerun as singletons: four cache hits, no new engine marches,
-	// no new lockstep units.
-	RunSerial(jobs, Options{Cache: cache, Metrics: m, NoLockstep: true})
+	// Warm rerun: four cache hits, no new engine marches.
+	RunSerial(jobs, opt)
 	if m.Jobs.Value() != 8 || m.CacheHits.Value() != 4 {
 		t.Errorf("warm: jobs=%d hits=%d", m.Jobs.Value(), m.CacheHits.Value())
 	}
-	if m.EngineRunSeconds.Count() != 1 {
-		t.Errorf("warm: engine observations = %d, want still 1", m.EngineRunSeconds.Count())
+	if m.EngineRunSeconds.Count() != 4 {
+		t.Errorf("warm: engine observations = %d, want still 4", m.EngineRunSeconds.Count())
 	}
 
 	// A pre-cancelled pooled run reports every job as failed — the
@@ -59,9 +55,7 @@ func TestMetricsAccumulateAcrossRuns(t *testing.T) {
 		"harvsim_batch_jobs_total 12",
 		"harvsim_batch_failed_total 4",
 		"harvsim_batch_cache_hits_total 4",
-		"harvsim_batch_lockstep_units_total 1",
-		"harvsim_batch_lockstep_members_total 4",
-		"harvsim_batch_engine_run_seconds_count 1",
+		"harvsim_batch_engine_run_seconds_count 4",
 	} {
 		if !strings.Contains(b.String(), line+"\n") {
 			t.Errorf("exposition missing %q:\n%s", line, b.String())
@@ -70,7 +64,7 @@ func TestMetricsAccumulateAcrossRuns(t *testing.T) {
 }
 
 // TestMetricsNilIsFree: the zero Options must not panic anywhere on the
-// dispatch paths (singleton, lockstep, cancelled tail).
+// dispatch path (fresh runs, cancelled tail).
 func TestMetricsNilIsFree(t *testing.T) {
 	jobs := seedEnsembleJobs(2, 0.1, harvester.Proposed)
 	RunSerial(jobs, Options{})

@@ -113,19 +113,6 @@ type Engine struct {
 	// otherwise — and reused by every subsequent Run of the same shape.
 	ws *Workspace
 
-	// share, when set (by EnsembleEngine), lets this member serve its
-	// elimination factorisations from a content-addressed store common to
-	// the whole lockstep ensemble. Every hit is verified against the exact
-	// matrix contents, so a shared factorisation is bit-identical to the
-	// private one it replaces — members that drift apart (a Duffing
-	// retangent) simply stop matching and fall back to private work.
-	share *EnsembleShared
-
-	// luRef is the factorisation solveY and computeStability use: luYY
-	// when the engine owns its factors, an immutable shared entry when
-	// the ensemble store served one.
-	luRef *la.LU
-
 	// Views into ws, bound by ensureWorkspace.
 	x, y, yRHS, f []float64
 	xNext, xLow   []float64
@@ -211,7 +198,6 @@ func (e *Engine) ensureWorkspace() error {
 	e.x, e.y, e.yRHS, e.f = ws.x, ws.y, ws.yRHS, ws.f
 	e.xNext, e.xLow, e.errv = ws.xNext, ws.xLow, ws.errv
 	e.luYY = ws.luYY
-	e.luRef = ws.luYY
 	e.red, e.bal, e.kMat = ws.red, ws.bal, ws.kM
 	e.jPrev = ws.jPrev
 	e.hist = ws.hist
@@ -239,17 +225,8 @@ func (e *Engine) refresh(first bool) (relChange float64, err error) {
 	if e.Phases != nil {
 		phaseStart = time.Now()
 	}
-	if e.share != nil {
-		lu, err := e.share.factorOf(s.Jyy)
-		if err != nil {
-			return 0, fmt.Errorf("core: terminal elimination matrix singular: %w", err)
-		}
-		e.luRef = lu
-	} else {
-		if err := e.luYY.Factor(s.Jyy); err != nil {
-			return 0, fmt.Errorf("core: terminal elimination matrix singular: %w", err)
-		}
-		e.luRef = e.luYY
+	if err := e.luYY.Factor(s.Jyy); err != nil {
+		return 0, fmt.Errorf("core: terminal elimination matrix singular: %w", err)
 	}
 	if e.Phases != nil {
 		e.Phases.Refactor += time.Since(phaseStart)
@@ -305,7 +282,7 @@ func (e *Engine) refreshStability() error {
 func (e *Engine) computeStability() error {
 	s := e.Sys
 	// K = inv(Jyy) * Jyx, column by column.
-	if err := e.luRef.SolveMatrix(e.kMat, s.Jyx); err != nil {
+	if err := e.luYY.SolveMatrix(e.kMat, s.Jyx); err != nil {
 		return err
 	}
 	// red = Jxx - Jxy*K.
@@ -377,23 +354,16 @@ func (e *Engine) jacChange() float64 {
 	return worst
 }
 
-// yElimRHS forms the elimination right-hand side -(Jyx*x + Ey) into
-// yRHS. Split from solveY so EnsembleEngine can batch K members' RHS
-// vectors into one la.SolveColumns call per shared factorisation.
-func (e *Engine) yElimRHS() {
+// solveY eliminates the non-state variables at the current point:
+// Jyy*y = -(Jyx*x + Ey) (paper Eq. 4).
+func (e *Engine) solveY() error {
 	s := e.Sys
 	s.Jyx.MulVec(e.yRHS, e.x)
 	for i := range e.yRHS {
 		e.yRHS[i] = -(e.yRHS[i] + s.Ey[i])
 	}
 	e.Stats.YSolves++
-}
-
-// solveY eliminates the non-state variables at the current point:
-// Jyy*y = -(Jyx*x + Ey) (paper Eq. 4).
-func (e *Engine) solveY() error {
-	e.yElimRHS()
-	return e.luRef.Solve(e.y, e.yRHS)
+	return e.luYY.Solve(e.y, e.yRHS)
 }
 
 // deriv computes xdot = Jxx*x + Jxy*y + Ex into e.f.
@@ -411,22 +381,6 @@ func (e *Engine) deriv() {
 // the first consistent linearisation. After Begin the engine is stepped
 // with Step until done, then closed with Finish; Run does all three.
 func (e *Engine) Begin(t0, tEnd float64) error {
-	if err := e.beginPrepared(t0, tEnd); err != nil {
-		return err
-	}
-	if err := e.solveY(); err != nil {
-		return err
-	}
-	return e.beginFinish()
-}
-
-// beginPrepared runs Begin up to (but not including) the initial
-// terminal-variable elimination: workspace binding, state reset, first
-// linearisation and factorisation refresh. It is the seam the ensemble
-// lockstep engine uses to batch the K members' initial eliminations
-// through one shared factorisation; Begin is exactly beginPrepared +
-// solveY + beginFinish.
-func (e *Engine) beginPrepared(t0, tEnd float64) error {
 	if tEnd <= t0 {
 		return fmt.Errorf("core: empty time span [%g, %g]", t0, tEnd)
 	}
@@ -454,20 +408,15 @@ func (e *Engine) beginPrepared(t0, tEnd float64) error {
 	if _, err := e.refresh(true); err != nil {
 		return err
 	}
-	return nil
-}
-
-// beginFinish completes Begin after the initial elimination: the
-// optional segment-resolution pass and the first step-size choice.
-func (e *Engine) beginFinish() error {
-	if e.ResolveSegments {
-		if e.Sys.Linearise(e.t, e.x, e.y) {
-			if _, err := e.refresh(true); err != nil {
-				return err
-			}
-			if err := e.solveY(); err != nil {
-				return err
-			}
+	if err := e.solveY(); err != nil {
+		return err
+	}
+	if e.ResolveSegments && e.Sys.Linearise(e.t, e.x, e.y) {
+		if _, err := e.refresh(true); err != nil {
+			return err
+		}
+		if err := e.solveY(); err != nil {
+			return err
 		}
 	}
 

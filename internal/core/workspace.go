@@ -144,77 +144,3 @@ func (p *WorkspacePool) Put(w *Workspace) {
 // Stats reports how many Gets the pool served and how many were satisfied
 // by reuse rather than fresh allocation.
 func (p *WorkspacePool) Stats() (gets, hits int) { return p.gets, p.hits }
-
-// EnsembleWorkspace extends the per-engine Workspace to a K-member
-// lockstep ensemble: the members' march-critical vectors (state,
-// terminals, derivative, predictor scratch, error estimate) live in
-// K*n contiguous structure-of-arrays blocks laid out member-major, so a
-// lockstep round over the members walks adjacent memory instead of K
-// scattered heaps. Each member still owns a complete Workspace whose
-// hot-vector views cover exactly its own rows of the blocks — the SoA
-// layout is shared storage, never shared state — and those member
-// workspaces flow to the engines through the ordinary pool mechanism
-// (Pool), so neither System.Build nor Engine.ensureWorkspace knows
-// lockstep exists.
-type EnsembleWorkspace struct {
-	k, nx, ny int
-
-	// Member-major SoA blocks: member m's slice of X is X[m*nx:(m+1)*nx].
-	X, F, XNext, XLow, Errv []float64 // K*nx
-	Y, YRHS                 []float64 // K*ny
-
-	members []*Workspace
-}
-
-// NewEnsembleWorkspace allocates SoA-backed storage for a k-member
-// ensemble of nx-state, ny-terminal systems.
-func NewEnsembleWorkspace(k, nx, ny int) *EnsembleWorkspace {
-	if k < 1 {
-		panic(fmt.Sprintf("core: invalid ensemble size %d", k))
-	}
-	ew := &EnsembleWorkspace{
-		k: k, nx: nx, ny: ny,
-		X:     make([]float64, k*nx),
-		F:     make([]float64, k*nx),
-		XNext: make([]float64, k*nx),
-		XLow:  make([]float64, k*nx),
-		Errv:  make([]float64, k*nx),
-		Y:     make([]float64, k*ny),
-		YRHS:  make([]float64, k*ny),
-	}
-	ew.members = make([]*Workspace, k)
-	for m := 0; m < k; m++ {
-		w := NewWorkspace(nx, ny)
-		xa, xb := m*nx, (m+1)*nx
-		ya, yb := m*ny, (m+1)*ny
-		// Re-point the hot vectors into the SoA blocks. Full slice
-		// expressions cap each view at its own rows.
-		w.x = ew.X[xa:xb:xb]
-		w.f = ew.F[xa:xb:xb]
-		w.xNext = ew.XNext[xa:xb:xb]
-		w.xLow = ew.XLow[xa:xb:xb]
-		w.errv = ew.Errv[xa:xb:xb]
-		w.y = ew.Y[ya:yb:yb]
-		w.yRHS = ew.YRHS[ya:yb:yb]
-		ew.members[m] = w
-	}
-	return ew
-}
-
-// K returns the ensemble size.
-func (ew *EnsembleWorkspace) K() int { return ew.k }
-
-// Member returns member m's workspace view.
-func (ew *EnsembleWorkspace) Member(m int) *Workspace { return ew.members[m] }
-
-// Pool returns a fresh WorkspacePool preloaded with the member
-// workspaces in order (the first Get returns member 0's), so assembling
-// the K member systems against it binds them to the SoA storage through
-// the exact same path as any pooled assembly.
-func (ew *EnsembleWorkspace) Pool() *WorkspacePool {
-	p := NewWorkspacePool()
-	for m := ew.k - 1; m >= 0; m-- {
-		p.Put(ew.members[m])
-	}
-	return p
-}

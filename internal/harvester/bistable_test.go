@@ -157,69 +157,6 @@ func TestBasinSettleDefault(t *testing.T) {
 	}
 }
 
-// TestBistableRunEnsembleMatchesSolo: a bistable seed ensemble marched
-// through the lockstep path (AssembleEnsemble + RunEnsemble, shared SoA
-// workspace and factorisations) reproduces each member's solo run bit
-// for bit — voltage trace, energy bookkeeping and basin accounting.
-// The implicit fallback (no lockstep mode, sequential members) is held
-// to the same contract.
-func TestBistableRunEnsembleMatchesSolo(t *testing.T) {
-	const dur = 0.4
-	seeds := []uint64{3, 5, 9}
-	mk := func(seed uint64) Scenario {
-		return BistableScenario(dur, BistableWellM, BistableBarrierJ, 120, -3.4e4, 8, 40, seed)
-	}
-	for _, kind := range []EngineKind{Proposed, ExistingTrap} {
-		scs := make([]Scenario, len(seeds))
-		for i, s := range seeds {
-			scs[i] = mk(s)
-		}
-		hs, _, err := AssembleEnsemble(scs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engs := make([]Engine, len(hs))
-		for i, h := range hs {
-			engs[i] = h.NewEngine(kind, 1)
-		}
-		for i, err := range RunEnsemble(hs, engs, dur) {
-			if err != nil {
-				t.Fatalf("%v member %d: %v", kind, i, err)
-			}
-		}
-		for i, seed := range seeds {
-			solo, err := Assemble(mk(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := solo.RunEngine(solo.NewEngine(kind, 1), dur); err != nil {
-				t.Fatal(err)
-			}
-			ens := hs[i]
-			if len(ens.VcTrace.Vals) != len(solo.VcTrace.Vals) {
-				t.Fatalf("%v seed %d: trace lengths %d vs %d",
-					kind, seed, len(ens.VcTrace.Vals), len(solo.VcTrace.Vals))
-			}
-			for j := range solo.VcTrace.Vals {
-				if ens.VcTrace.Vals[j] != solo.VcTrace.Vals[j] {
-					t.Fatalf("%v seed %d: Vc diverges at sample %d: %g vs %g",
-						kind, seed, j, ens.VcTrace.Vals[j], solo.VcTrace.Vals[j])
-				}
-			}
-			if ens.Energy != solo.Energy {
-				t.Errorf("%v seed %d: energy bookkeeping differs:\n%+v\nvs\n%+v",
-					kind, seed, ens.Energy, solo.Energy)
-			}
-			if ens.BasinStats() != solo.BasinStats() {
-				t.Errorf("%v seed %d: basin stats %+v != solo %+v",
-					kind, seed, ens.BasinStats(), solo.BasinStats())
-			}
-			solo.Release()
-			ens.Release()
-		}
-	}
-}
-
 // TestWarmStepZeroAllocsBistable extends the zero-alloc pin to the
 // double-well workload: piecewise re-tangents that survive inter-well
 // jumps, the displacement-dependent coupling restamp and the basin

@@ -341,8 +341,8 @@ func (h *Harvester) BasinStats() BasinStats {
 // settled-transit counter. The batch runner calls it with
 // duration*settleFrac before every run — the same boundary the power
 // metrics use, and part of the cache identity — so basin reductions are
-// deterministic across dispatch modes. Unset, RunEngine/RunEnsemble
-// default it to duration/3 (the batch default fraction).
+// deterministic across dispatch modes. Unset, RunEngine defaults it to
+// duration/3 (the batch default fraction).
 func (h *Harvester) SetBasinSettle(t float64) {
 	h.basinSettleT = t
 	h.basinSettleSet = true

@@ -156,25 +156,6 @@ func (f *LU) SolveMatrix(x, b *Matrix) error {
 	return nil
 }
 
-// SolveColumns solves A*x_k = b_k for a batch of right-hand-side
-// vectors through the one factorisation — the many-RHS entry point the
-// ensemble-lockstep engine uses to eliminate K seeds' terminal
-// variables per step without refactoring. Each solve is the exact
-// per-column elimination SolveMatrix performs, so a batched solve is
-// bit-identical to the K individual Solve calls it replaces. xs[k] and
-// bs[k] may alias; distinct pairs must not.
-func (f *LU) SolveColumns(xs, bs [][]float64) error {
-	if len(xs) != len(bs) {
-		panic("la: LU.SolveColumns batch size mismatch")
-	}
-	for k := range bs {
-		if err := f.Solve(xs[k], bs[k]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Det returns the determinant of the factored matrix.
 func (f *LU) Det() float64 {
 	if !f.ok {

@@ -79,10 +79,6 @@ type Options struct {
 	// KeepFinished bounds how many finished sweeps stay queryable;
 	// oldest are dropped first. 0 = 128.
 	KeepFinished int
-	// NoLockstep disables the ensemble-lockstep dispatch server-wide
-	// (requests may also opt out individually; either switch wins).
-	// Results are bit-identical either way.
-	NoLockstep bool
 }
 
 func (o Options) maxActive() int {
@@ -297,7 +293,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		SettleFrac: req.SettleFrac,
 		Cache:      s.cache,
 		Pools:      s.pools,
-		NoLockstep: req.NoLockstep || s.opt.NoLockstep,
 		Metrics:    s.batchM,
 		Trace:      run.Trace,
 	}

@@ -37,6 +37,12 @@ func postSweep(t *testing.T, ts *httptest.Server, req wire.SweepRequest) wire.Sw
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postBody(t, ts, body)
+}
+
+// postBody posts a raw request body and requires 202.
+func postBody(t *testing.T, ts *httptest.Server, body []byte) wire.SweepAccepted {
+	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +125,52 @@ func metricsByIndex(results []wire.Result) map[int][5]string {
 		out[r.Index] = [5]string{m(r.Metric), m(r.RMSPower), m(r.MeanPower), m(r.FinalVc), r.Key}
 	}
 	return out
+}
+
+// TestNoLockstepFieldIgnored: the v1 compatibility rule lets a client
+// keep sending the retired "no_lockstep" field. The request is
+// accepted, and its stream carries the same result lines as the same
+// request without the field.
+func TestNoLockstepFieldIgnored(t *testing.T) {
+	// A 2-point x 4-seed noise ensemble: the seed-grouped shape the
+	// field used to select a dispatch for.
+	spec := wire.Spec{
+		Name: "ens",
+		V:    wire.Version,
+		Scenario: wire.Scenario{Kind: "noise", DurationS: 0.1,
+			NoiseFLoHz: 55, NoiseFHiHz: 85, NoiseSeed: 7},
+		Axes: []wire.Axis{
+			{Kind: wire.AxisFloat, Param: "microgen.rc", Values: []float64{1000, 2000}},
+			{Kind: wire.AxisSeed, BaseSeed: 7, Count: 4},
+		},
+	}
+	plain, err := json.Marshal(wire.SweepRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.Replace(plain, []byte("{"), []byte(`{"no_lockstep":true,`), 1)
+	run := func(body []byte) map[int]wire.Result {
+		ts := httptest.NewServer(New(Options{}).Handler())
+		defer ts.Close()
+		results, summary := streamSweep(t, ts, postBody(t, ts, body))
+		if len(results) != 8 || summary.Failed != 0 {
+			t.Fatalf("%d results, summary %+v", len(results), summary)
+		}
+		byIndex := make(map[int]wire.Result, len(results))
+		for _, r := range results {
+			r.ElapsedUS = 0 // wall time, the one field allowed to differ
+			byIndex[r.Index] = r
+		}
+		return byIndex
+	}
+	want, got := run(plain), run(legacy)
+	for ix, w := range want {
+		a, _ := json.Marshal(w)
+		b, _ := json.Marshal(got[ix])
+		if !bytes.Equal(a, b) {
+			t.Errorf("index %d: with no_lockstep %s, without %s", ix, b, a)
+		}
+	}
 }
 
 // TestSweepEndToEnd is the acceptance path: POST the 64-point grid,

@@ -551,7 +551,6 @@ func (c *Coordinator) runShard(ctx context.Context, st *sweepState, worker strin
 		Workers:    st.req.Workers,
 		SettleFrac: st.req.SettleFrac,
 		BudgetMS:   st.req.BudgetMS,
-		NoLockstep: st.req.NoLockstep,
 		Trace:      rec.Trace(),
 		Span:       shardSpan.ID(),
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,6 +46,12 @@ func startFleet(t *testing.T, n int) ([]*httptest.Server, []string) {
 func post(t *testing.T, base string, req wire.SweepRequest) wire.SweepAccepted {
 	t.Helper()
 	body, _ := json.Marshal(req)
+	return postBody(t, base, body)
+}
+
+// postBody posts a raw request body and requires 202.
+func postBody(t *testing.T, base string, body []byte) wire.SweepAccepted {
+	t.Helper()
 	resp, err := http.Post(base+"/v1/sweep", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -266,6 +273,61 @@ func TestCoordinatorBistableBasinsMatchSingleHost(t *testing.T) {
 	if warm.Transits != baseSummary.Transits || warm.HighOrbit != baseSummary.HighOrbit {
 		t.Errorf("cached basin reductions (transits %d, high-orbit %d) != fresh (%d, %d)",
 			warm.Transits, warm.HighOrbit, baseSummary.Transits, baseSummary.HighOrbit)
+	}
+}
+
+// TestCoordinatorNoLockstepFieldIgnored: the coordinator accepts the
+// retired v1 field "no_lockstep" like the single-host server does,
+// streams the same result lines as without it, and no longer forwards
+// it to its workers.
+func TestCoordinatorNoLockstepFieldIgnored(t *testing.T) {
+	spec := bistableGrid(0.2)
+	plain, err := json.Marshal(wire.SweepRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.Replace(plain, []byte("{"), []byte(`{"no_lockstep":true,`), 1)
+	var forwarded atomic.Bool
+	run := func(body []byte) map[int]wire.Result {
+		var urls []string
+		for i := 0; i < 2; i++ {
+			h := server.New(server.Options{Workers: 1}).Handler()
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPost && r.URL.Path == "/v1/sweep" {
+					b, _ := io.ReadAll(r.Body)
+					if bytes.Contains(b, []byte("no_lockstep")) {
+						forwarded.Store(true)
+					}
+					r.Body = io.NopCloser(bytes.NewReader(b))
+				}
+				h.ServeHTTP(w, r)
+			}))
+			defer ts.Close()
+			urls = append(urls, ts.URL)
+		}
+		coord := httptest.NewServer(New(Options{Workers: urls}).Handler())
+		defer coord.Close()
+		results, summary := stream(t, coord.URL, postBody(t, coord.URL, body), nil)
+		if len(results) != 12 || summary.Failed != 0 {
+			t.Fatalf("%d results, summary %+v", len(results), summary)
+		}
+		byIndex := make(map[int]wire.Result, len(results))
+		for _, r := range results {
+			r.ElapsedUS = 0 // wall time, the one field allowed to differ
+			byIndex[r.Index] = r
+		}
+		return byIndex
+	}
+	want, got := run(plain), run(legacy)
+	for ix, w := range want {
+		a, _ := json.Marshal(w)
+		b, _ := json.Marshal(got[ix])
+		if !bytes.Equal(a, b) {
+			t.Errorf("index %d: with no_lockstep %s, without %s", ix, b, a)
+		}
+	}
+	if forwarded.Load() {
+		t.Error("coordinator forwarded no_lockstep to a worker")
 	}
 }
 

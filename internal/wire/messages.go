@@ -29,9 +29,11 @@ type SweepRequest struct {
 	// own per-request maximum and cancels the sweep's context when it
 	// expires. 0 selects the server's maximum.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
-	// NoLockstep disables the ensemble-lockstep dispatch for this sweep
-	// (every job simulates independently). Results are bit-identical
-	// either way; the switch exists for A/B timing and bisection.
+	// NoLockstep is accepted and ignored. It used to opt a sweep out of
+	// the ensemble-lockstep dispatch, which is gone: every job now runs
+	// on its own. The field stays because both decoders reject unknown
+	// fields and the v1 compatibility rule lets a v1 client keep sending
+	// it; servers neither read it nor forward it to workers.
 	NoLockstep bool `json:"no_lockstep,omitempty"`
 	// Trace, when non-empty, enables span recording for this sweep under
 	// the given trace id (32 hex chars, W3C-traceparent style). Tracing

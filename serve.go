@@ -78,18 +78,3 @@ type Alert = tracing.Alert
 // rules sample metric closures, and notify callbacks fire on rising
 // edges only.
 type Alerts = tracing.Alerts
-
-// SweepServer is the previous name of SweepService.
-//
-// Deprecated: Use SweepService.
-type SweepServer = server.Server
-
-// SweepServerOptions is the previous name of ServeOptions.
-//
-// Deprecated: Use ServeOptions.
-type SweepServerOptions = server.Options
-
-// NewSweepServer is the previous name of Serve.
-//
-// Deprecated: Use Serve.
-func NewSweepServer(opt SweepServerOptions) *SweepServer { return server.New(opt) }

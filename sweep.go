@@ -43,11 +43,9 @@ func IntAxis(name string, values []int, set func(j *BatchJob, v int)) SweepAxis 
 func EngineAxis(kinds ...EngineKind) SweepAxis { return batch.EngineAxis(kinds...) }
 
 // RunBatch executes the jobs across a worker pool; results come back in
-// job order and are bit-identical to a serial run. Seed-grouped jobs
-// (same non-empty Group, differing Seed, proposed engine) are stepped
-// as one lockstep ensemble through shared factorisations unless
-// BatchOptions.NoLockstep disables it — a scheduling choice only, never
-// visible in the results.
+// job order and are bit-identical to a serial run. Every job, seed
+// ensemble members included, takes the same per-job path (with
+// BatchOptions.Cache set: cache lookup and in-flight deduplication).
 func RunBatch(ctx context.Context, jobs []BatchJob, opt BatchOptions) []BatchResult {
 	return batch.Run(ctx, jobs, opt)
 }

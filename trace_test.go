@@ -53,10 +53,9 @@ func TestTraceOffZeroOverhead(t *testing.T) {
 }
 
 // TestTracedRunBitIdenticalAllEngines runs the same jobs with and
-// without a recorder attached on every engine kind — including a
-// seed-grouped ensemble on the proposed engine, so the lockstep path's
-// instrumentation is exercised — and requires every result field that
-// leaves the batch layer to match exactly.
+// without a recorder attached on every engine kind — a seed-grouped
+// ensemble plus a lone charge job — and requires every result field
+// that leaves the batch layer to match exactly.
 func TestTracedRunBitIdenticalAllEngines(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -69,10 +68,8 @@ func TestTracedRunBitIdenticalAllEngines(t *testing.T) {
 	}
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
-			// Three seed realisations sharing a Group: on the proposed
-			// engine these march as one lockstep unit; on the existing
-			// engines they stay singletons. Both dispatch paths are
-			// covered across the table.
+			// Three seed realisations sharing a Group, as a seed axis
+			// expands them; each runs as an ordinary job.
 			var jobs []batch.Job
 			for _, seed := range batch.Seeds(11, 3) {
 				jobs = append(jobs, batch.Job{
