@@ -9,17 +9,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"strings"
-	"time"
 
 	"harvsim"
+	"harvsim/cmd/internal/boot"
 )
 
 const usageFooter = `
@@ -44,13 +40,6 @@ even when a worker dies mid-sweep (its unfinished jobs are re-sharded
 onto the survivors). See README.md "Operating the fleet".
 `
 
-func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(),
-		"Usage: coord -workers <url,url,...> [flags]\n\nSharded sweep coordinator over a fleet of sweep services.\n\nFlags:\n")
-	flag.PrintDefaults()
-	fmt.Fprint(flag.CommandLine.Output(), usageFooter)
-}
-
 func main() {
 	var (
 		addr          = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port; the chosen address is printed)")
@@ -64,13 +53,8 @@ func main() {
 		alertP99      = flag.Float64("alert-shard-p99", 0, "log an alert when any worker's shard p99 reaches this many seconds (0 = off)")
 		alertEvery    = flag.Duration("alert-interval", 0, "alert poll interval (0 = 10s)")
 	)
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "coord: unexpected arguments: %v\n", flag.Args())
-		flag.Usage()
-		os.Exit(2)
-	}
+	boot.Parse("coord",
+		"Usage: coord -workers <url,url,...> [flags]\n\nSharded sweep coordinator over a fleet of sweep services.\n\nFlags:\n", usageFooter)
 
 	var fleet []string
 	for _, w := range strings.Split(*workers, ",") {
@@ -98,40 +82,14 @@ func main() {
 	if *alertP99 > 0 {
 		coord.WatchShardP99(*alertP99)
 	}
-	if *alertLost > 0 || *alertP99 > 0 {
-		coord.Alerts().Notify(func(a harvsim.Alert) {
-			fmt.Fprintf(os.Stderr, "coord: ALERT %s: value %g reached bound %g at %s\n",
-				a.Name, a.Value, a.Bound, a.At.Format(time.RFC3339))
-		})
-		go coord.Alerts().Run(context.Background(), *alertEvery)
-	}
-
-	// -pprof shares the coordinator mux: profiling lives next to
-	// /metrics on the one listener, off by default.
-	handler := coord.Handler()
-	if *pprofOn {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.Handle("/", coord.Handler())
-		handler = mux
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "coord: %v\n", err)
-		os.Exit(1)
-	}
-	// Printed (not logged) so scripts can capture the resolved address
-	// when -addr used port 0.
-	fmt.Printf("listening on %s\n", ln.Addr())
-	fmt.Printf("fleet of %d workers: %s\n", len(fleet), strings.Join(fleet, " "))
-
-	hs := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
-	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
+	if err := boot.Serve(coord.Handler(), boot.Options{
+		Name:       "coord",
+		Addr:       *addr,
+		Pprof:      *pprofOn,
+		Alerts:     coord.Alerts(),
+		AlertEvery: *alertEvery,
+		Banner:     []string{fmt.Sprintf("fleet of %d workers: %s", len(fleet), strings.Join(fleet, " "))},
+	}); err != nil {
 		fmt.Fprintf(os.Stderr, "coord: %v\n", err)
 		os.Exit(1)
 	}

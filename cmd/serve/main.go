@@ -6,16 +6,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"time"
 
 	"harvsim"
+	"harvsim/cmd/internal/boot"
 )
 
 const usageFooter = `
@@ -40,13 +36,6 @@ A repeated POST of the same spec is served entirely from the cache
 (zero engine runs, bit-identical metrics); see README.md.
 `
 
-func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(),
-		"Usage: serve [flags]\n\nLong-lived HTTP/JSON sweep service over the batch layer.\n\nFlags:\n")
-	flag.PrintDefaults()
-	fmt.Fprint(flag.CommandLine.Output(), usageFooter)
-}
-
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port; the chosen address is printed)")
@@ -61,13 +50,8 @@ func main() {
 		alertP99    = flag.Float64("alert-exec-p99", 0, "log an alert when sweep-execution p99 reaches this many seconds (0 = off)")
 		alertEvery  = flag.Duration("alert-interval", 0, "alert poll interval (0 = 10s)")
 	)
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "serve: unexpected arguments: %v\n", flag.Args())
-		flag.Usage()
-		os.Exit(2)
-	}
+	boot.Parse("serve",
+		"Usage: serve [flags]\n\nLong-lived HTTP/JSON sweep service over the batch layer.\n\nFlags:\n", usageFooter)
 
 	var cache *harvsim.Cache
 	var err error
@@ -95,43 +79,18 @@ func main() {
 	if *alertP99 > 0 {
 		srv.WatchExecP99(*alertP99)
 	}
-	if *alertFailed > 0 || *alertP99 > 0 {
-		srv.Alerts().Notify(func(a harvsim.Alert) {
-			fmt.Fprintf(os.Stderr, "serve: ALERT %s: value %g reached bound %g at %s\n",
-				a.Name, a.Value, a.Bound, a.At.Format(time.RFC3339))
-		})
-		go srv.Alerts().Run(context.Background(), *alertEvery)
-	}
-
-	// -pprof shares the service mux: profiling lives next to /metrics on
-	// the one listener, off by default so a production service exposes
-	// no profiling surface unless asked to.
-	handler := srv.Handler()
-	if *pprofOn {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.Handle("/", srv.Handler())
-		handler = mux
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		os.Exit(1)
-	}
-	// Printed (not logged) so scripts can capture the resolved address
-	// when -addr used port 0.
-	fmt.Printf("listening on %s\n", ln.Addr())
+	var banner []string
 	if *cacheDir != "" {
-		fmt.Printf("cache dir %s\n", *cacheDir)
+		banner = append(banner, "cache dir "+*cacheDir)
 	}
-
-	hs := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
-	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
+	if err := boot.Serve(srv.Handler(), boot.Options{
+		Name:       "serve",
+		Addr:       *addr,
+		Pprof:      *pprofOn,
+		Alerts:     srv.Alerts(),
+		AlertEvery: *alertEvery,
+		Banner:     banner,
+	}); err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(1)
 	}

@@ -8,7 +8,7 @@ import (
 	"harvsim/internal/wire"
 )
 
-// writeJSON writes a JSON response body.
+// WriteJSON writes a JSON response body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -85,10 +85,10 @@ func (ew *envelopeWriter) Flush() {
 	}
 }
 
-// CanonicalErrors wraps a handler so every non-2xx response carries the
+// canonicalErrors wraps a handler so every non-2xx response carries the
 // canonical JSON error envelope, including responses the underlying
 // ServeMux generates itself (unknown route 404, wrong-method 405).
-func CanonicalErrors(h http.Handler) http.Handler {
+func canonicalErrors(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		h.ServeHTTP(&envelopeWriter{ResponseWriter: w}, r)
 	})

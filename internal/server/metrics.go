@@ -5,12 +5,12 @@ import (
 	"harvsim/internal/metrics"
 )
 
-// serverMetrics is the sweep service's instrument bundle, registered on
-// the server's private registry and served by GET /metrics. The batch
-// bundle (harvsim_batch_*) shares the same registry, so one scrape sees
-// job-level and sweep-level views of the same traffic.
+// serverMetrics is the local executor's instrument bundle, registered
+// on the front's registry next to its sweep counters and served by GET
+// /metrics. The batch bundle (harvsim_batch_*) shares the same
+// registry, so one scrape sees job-level and sweep-level views of the
+// same traffic.
 type serverMetrics struct {
-	finished *metrics.Counter
 	// queueSeconds observes how long each sweep waited for a MaxActive
 	// execution slot; execSeconds observes the execution wall that
 	// follows. Keeping them separate is the point — their sum is the
@@ -20,20 +20,17 @@ type serverMetrics struct {
 	execSeconds  *metrics.Histogram
 }
 
-// newServerMetrics registers the sweep-level instruments plus
-// collect-time bridges to the run registry and the shared cache's own
-// counters (the cache keeps its stats; /metrics just reads them at
-// scrape time, so the numbers always agree with GET /v1/cache/stats).
-func newServerMetrics(r *metrics.Registry, runs *Runs, cache *batch.Cache) *serverMetrics {
+// newServerMetrics registers the execution histograms plus collect-time
+// bridges to the shared cache's own counters (the cache keeps its
+// stats; /metrics just reads them at scrape time, so the numbers always
+// agree with GET /v1/cache/stats).
+func newServerMetrics(r *metrics.Registry, cache *batch.Cache) *serverMetrics {
 	m := &serverMetrics{
-		finished: r.Counter("harvsim_server_sweeps_finished_total", "Sweeps that ran to completion (cancelled and budget-expired included)."),
 		queueSeconds: r.Histogram("harvsim_server_sweep_queue_seconds",
 			"Time each sweep waited for a MaxActive execution slot.", nil),
 		execSeconds: r.Histogram("harvsim_server_sweep_exec_seconds",
 			"Execution wall time per sweep, queue wait excluded.", nil),
 	}
-	r.GaugeFunc("harvsim_server_sweeps_active", "Sweeps submitted but not yet finished.",
-		func() float64 { return float64(runs.Active()) })
 	r.CounterFunc("harvsim_cache_hits_total", "Result-cache lookups served from the cache.",
 		func() int64 { return cache.Stats().Hits })
 	r.CounterFunc("harvsim_cache_misses_total", "Result-cache lookups that fell through to a fresh run.",

@@ -12,11 +12,11 @@ import (
 	"harvsim/internal/wire"
 )
 
-// Run is one submitted sweep's lifecycle state, shared by the single-host
-// server and the shard coordinator. results accumulates in completion
-// order (the stream order); done flips exactly once, after the last
-// result is recorded. cond (over mu) wakes streamers on every append and
-// on completion.
+// Run is one submitted sweep's lifecycle state: the front owns it and
+// an executor (local pool or shard fan-out) records into it. results
+// accumulates in completion order (the stream order); done flips
+// exactly once, after the last result is recorded. cond (over mu)
+// wakes streamers on every append and on completion.
 type Run struct {
 	ID      string
 	Total   int
@@ -35,13 +35,6 @@ type Run struct {
 	shared  int
 	done    bool
 	summary wire.Summary
-}
-
-// NewRun builds a run in the "running" state.
-func NewRun(id string, total int, cancel context.CancelFunc) *Run {
-	run := &Run{ID: id, Total: total, Started: time.Now(), Cancel: cancel}
-	run.cond = sync.NewCond(&run.mu)
-	return run
 }
 
 // Record appends one completed job's wire result (called concurrently
@@ -108,9 +101,9 @@ func (run *Run) Status(withResults bool) wire.JobStatus {
 	return st
 }
 
-// Runs is an id-keyed registry of sweep runs with bounded retention of
+// runs is an id-keyed registry of sweep runs with bounded retention of
 // finished ones.
-type Runs struct {
+type runs struct {
 	prefix string
 	keep   int
 
@@ -121,28 +114,30 @@ type Runs struct {
 	doneOrder []string
 }
 
-// NewRuns builds a registry. Ids are prefix + sequence number;
+// newRuns builds a registry. Ids are prefix + sequence number;
 // keepFinished bounds how many finished runs stay queryable (oldest
 // dropped first), 0 means the default of 128.
-func NewRuns(prefix string, keepFinished int) *Runs {
+func newRuns(prefix string, keepFinished int) *runs {
 	if keepFinished <= 0 {
 		keepFinished = 128
 	}
-	return &Runs{prefix: prefix, keep: keepFinished, jobs: make(map[string]*Run)}
+	return &runs{prefix: prefix, keep: keepFinished, jobs: make(map[string]*Run)}
 }
 
-// New registers a fresh run.
-func (rs *Runs) New(total int, cancel context.CancelFunc) *Run {
+// New registers a fresh run in the "running" state.
+func (rs *runs) New(total int, cancel context.CancelFunc) *Run {
 	rs.mu.Lock()
 	rs.seq++
-	run := NewRun(rs.prefix+strconv.FormatInt(rs.seq, 10), total, cancel)
+	id := rs.prefix + strconv.FormatInt(rs.seq, 10)
+	run := &Run{ID: id, Total: total, Started: time.Now(), Cancel: cancel}
+	run.cond = sync.NewCond(&run.mu)
 	rs.jobs[run.ID] = run
 	rs.mu.Unlock()
 	return run
 }
 
 // Lookup resolves an id; nil when unknown (or evicted).
-func (rs *Runs) Lookup(id string) *Run {
+func (rs *runs) Lookup(id string) *Run {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	return rs.jobs[id]
@@ -150,7 +145,7 @@ func (rs *Runs) Lookup(id string) *Run {
 
 // Retire records a finished run and evicts the oldest finished ones
 // beyond the retention bound.
-func (rs *Runs) Retire(id string) {
+func (rs *runs) Retire(id string) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	rs.doneOrder = append(rs.doneOrder, id)
@@ -161,7 +156,7 @@ func (rs *Runs) Retire(id string) {
 }
 
 // Active counts unfinished runs.
-func (rs *Runs) Active() int {
+func (rs *runs) Active() int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	n := 0
@@ -173,14 +168,14 @@ func (rs *Runs) Active() int {
 	return n
 }
 
-// ServeStream writes a run as NDJSON: every result line as it completes,
+// serveStream writes a run as NDJSON: every result line as it completes,
 // then the summary line. Late subscribers get a full replay; a
 // ?from=<n> cursor skips the first n lines of the completion-ordered
 // replay instead, which is how a client (or the shard coordinator's
 // retry path) resumes a stream that died after n lines without paying
 // for — or double-counting — what it already has. Large grids render
 // progressively because each line is flushed as written.
-func ServeStream(w http.ResponseWriter, r *http.Request, run *Run) {
+func serveStream(w http.ResponseWriter, r *http.Request, run *Run) {
 	next := 0
 	if from := r.URL.Query().Get("from"); from != "" {
 		n, err := strconv.Atoi(from)
@@ -243,6 +238,68 @@ func ServeStream(w http.ResponseWriter, r *http.Request, run *Run) {
 		}
 		if flusher != nil && len(chunk) > 0 {
 			flusher.Flush()
+		}
+	}
+}
+
+// serveTrace replays a sweep's flight recorder as NDJSON — one
+// wire.SpanLine per finished span, with the same ?from=<n> cursor
+// semantics the result streams use (a resuming client skips the first n
+// spans of the absolute sequence; a cursor behind the ring's eviction
+// horizon is clamped forward). The stream stays open while the sweep
+// runs, delivering spans as they finish, and terminates once the
+// recorder is sealed and fully drained. A coordinator's recorder spans
+// the whole fleet (worker spans are imported as each shard completes).
+// A sweep submitted without a trace id has no recorder and reports 404.
+func serveTrace(w http.ResponseWriter, r *http.Request, run *Run) {
+	rec := run.Trace
+	if rec == nil {
+		WriteError(w, http.StatusNotFound, wire.CodeNotFound, false,
+			"job %q was not traced (submit with a \"trace\" id)", run.ID)
+		return
+	}
+	var from int64
+	if q := r.URL.Query().Get("from"); q != "" {
+		n, err := strconv.ParseInt(q, 10, 64)
+		if err != nil || n < 0 {
+			WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, false,
+				"from must be a non-negative integer, got %q", q)
+			return
+		}
+		from = n
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Cache-Control", "no-store")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+
+	// A disconnecting client must unblock the Next wait; Interrupt
+	// serialises with its check-then-wait window, so the wake-up cannot
+	// be lost.
+	ctx := r.Context()
+	stop := func() bool { return ctx.Err() != nil }
+	go func() {
+		<-ctx.Done()
+		rec.Interrupt()
+	}()
+
+	for {
+		spans, next, done := rec.Next(from, stop)
+		if ctx.Err() != nil {
+			return
+		}
+		from = next
+		for _, s := range spans {
+			if enc.Encode(wire.SpanLineOf(s)) != nil {
+				return // client went away
+			}
+		}
+		if flusher != nil && (len(spans) > 0 || done) {
+			flusher.Flush()
+		}
+		if done {
+			return
 		}
 	}
 }

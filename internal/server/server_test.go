@@ -488,83 +488,6 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestErrorEnvelopeEverywhere is the error-surface contract: every
-// non-2xx response on every route — including the 404/405s the ServeMux
-// generates itself — is application/json carrying the canonical
-// {"error":{"code","message","retryable"}} envelope with the expected
-// stable code.
-func TestErrorEnvelopeEverywhere(t *testing.T) {
-	srv := New(Options{MaxJobs: 10})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// One live job so the ?from validation path is reachable.
-	acc := postSweep(t, ts, wire.SweepRequest{
-		Spec: wire.Spec{Scenario: wire.Scenario{Kind: "charge", DurationS: 0.1}}})
-	streamSweep(t, ts, acc)
-
-	big, _ := json.Marshal(wire.SweepRequest{Spec: grid64Spec(0.25)})
-	futureSpec := grid64Spec(0.25)
-	futureSpec.V = wire.Version + 1
-	future, _ := json.Marshal(wire.SweepRequest{Spec: futureSpec})
-
-	cases := []struct {
-		name       string
-		method     string
-		path       string
-		body       string
-		wantStatus int
-		wantCode   string
-	}{
-		{"malformed body", "POST", "/v1/sweep", "{", http.StatusBadRequest, wire.CodeBadRequest},
-		{"unknown field", "POST", "/v1/sweep", `{"spec":{"scenario":{"kind":"charge","duration_s":1}},"frobnicate":1}`, http.StatusBadRequest, wire.CodeBadRequest},
-		{"invalid spec", "POST", "/v1/sweep", `{"spec":{"scenario":{"kind":"warp","duration_s":1}}}`, http.StatusBadRequest, wire.CodeBadRequest},
-		{"future version", "POST", "/v1/sweep", string(future), http.StatusBadRequest, wire.CodeUnsupportedVersion},
-		{"over budget", "POST", "/v1/sweep", string(big), http.StatusRequestEntityTooLarge, wire.CodeTooManyJobs},
-		{"bad indices order", "POST", "/v1/sweep", `{"spec":{"scenario":{"kind":"charge","duration_s":1}},"indices":[1,1]}`, http.StatusBadRequest, wire.CodeBadRequest},
-		{"indices out of range", "POST", "/v1/sweep", `{"spec":{"scenario":{"kind":"charge","duration_s":1}},"indices":[5]}`, http.StatusBadRequest, wire.CodeBadRequest},
-		{"unknown job status", "GET", "/v1/jobs/nope", "", http.StatusNotFound, wire.CodeNotFound},
-		{"unknown job stream", "GET", "/v1/jobs/nope/stream", "", http.StatusNotFound, wire.CodeNotFound},
-		{"unknown job cancel", "DELETE", "/v1/jobs/nope", "", http.StatusNotFound, wire.CodeNotFound},
-		{"bad from cursor", "GET", acc.StreamURL + "?from=x", "", http.StatusBadRequest, wire.CodeBadRequest},
-		{"negative from cursor", "GET", acc.StreamURL + "?from=-1", "", http.StatusBadRequest, wire.CodeBadRequest},
-		{"unknown route", "GET", "/v1/frobnicate", "", http.StatusNotFound, wire.CodeNotFound},
-		{"mux wrong method", "PUT", "/v1/sweep", "", http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed},
-		{"mux wrong method on jobs", "POST", "/v1/jobs/nope", "", http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed},
-	}
-	for _, tc := range cases {
-		var body io.Reader
-		if tc.body != "" {
-			body = strings.NewReader(tc.body)
-		}
-		req, err := http.NewRequest(tc.method, ts.URL+tc.path, body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != tc.wantStatus {
-			t.Errorf("%s: status %s, want %d (body %q)", tc.name, resp.Status, tc.wantStatus, raw)
-			continue
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Errorf("%s: Content-Type %q, want application/json", tc.name, ct)
-		}
-		var e wire.Error
-		if err := json.Unmarshal(raw, &e); err != nil {
-			t.Errorf("%s: body %q is not the error envelope: %v", tc.name, raw, err)
-			continue
-		}
-		if e.Error.Code != tc.wantCode || e.Error.Message == "" {
-			t.Errorf("%s: envelope %+v, want code %q and a message", tc.name, e, tc.wantCode)
-		}
-	}
-}
-
 // TestStreamFromCursor: ?from=<n> skips the first n lines of the
 // completion-ordered replay — the coordinator's resume path after a
 // stream dies mid-shard.

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -154,54 +153,5 @@ func TestTracedSweepMatchesUntracedBitExactly(t *testing.T) {
 	}
 	if tail[0] != spans[5] {
 		t.Fatalf("?from=5 starts at %+v, want %+v", tail[0], spans[5])
-	}
-}
-
-// TestVersionStampOnAllJSONRoutes pins the satellite fix: every JSON
-// response body the server emits carries the wire-version stamp "v".
-func TestVersionStampOnAllJSONRoutes(t *testing.T) {
-	ts := httptest.NewServer(New(Options{}).Handler())
-	defer ts.Close()
-	acc := postSweep(t, ts, wire.SweepRequest{Spec: grid64Spec(0.01)})
-	streamSweep(t, ts, acc) // run to completion so status carries a summary
-
-	checkStamp := func(name string, body []byte) {
-		t.Helper()
-		var m map[string]any
-		if err := json.Unmarshal(body, &m); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		v, ok := m["v"].(float64)
-		if !ok || int(v) != wire.Version {
-			t.Fatalf("%s: response carries no v=%d stamp: %s", name, wire.Version, body)
-		}
-	}
-
-	// POST /v1/sweep re-encodes the accepted struct for the check.
-	accBody, err := json.Marshal(acc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStamp("POST /v1/sweep", accBody)
-
-	for _, route := range []string{
-		"/v1/jobs/" + acc.ID,
-		"/v1/cache/stats",
-		"/healthz",
-	} {
-		resp, err := http.Get(ts.URL + route)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %s", route, resp.Status)
-		}
-		var buf []byte
-		buf, err = io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkStamp("GET "+route, buf)
 	}
 }

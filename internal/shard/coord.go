@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"harvsim/internal/batch"
-	"harvsim/internal/metrics"
 	"harvsim/internal/server"
 	"harvsim/internal/tracing"
 	"harvsim/internal/wire"
@@ -30,7 +29,9 @@ type Options struct {
 	// 0 = 4096. The coordinator expands the full grid to place jobs, so
 	// this is its own memory bound, independent of the workers'.
 	MaxJobs int
-	// MaxRequestTime is the wall-clock ceiling per sweep. 0 = 120s.
+	// MaxRequestTime is the wall-clock ceiling per coordinated sweep,
+	// re-shards included; clients may ask for less via budget_ms, never
+	// more. 0 = 120s.
 	MaxRequestTime time.Duration
 	// KeepFinished bounds how many finished sweeps stay queryable. 0 = 128.
 	KeepFinished int
@@ -46,34 +47,6 @@ type Options struct {
 	Client *http.Client
 }
 
-func (o Options) maxJobs() int {
-	if o.MaxJobs > 0 {
-		return o.MaxJobs
-	}
-	return 4096
-}
-
-func (o Options) maxRequestTime() time.Duration {
-	if o.MaxRequestTime > 0 {
-		return o.MaxRequestTime
-	}
-	return 120 * time.Second
-}
-
-func (o Options) healthTimeout() time.Duration {
-	if o.HealthTimeout > 0 {
-		return o.HealthTimeout
-	}
-	return 2 * time.Second
-}
-
-func (o Options) maxRetries() int {
-	if o.MaxRetries > 0 {
-		return o.MaxRetries
-	}
-	return 2
-}
-
 // maxIdleConnsPerWorker sizes the keep-alive pool per worker host. A
 // coordinator multiplexes every shard submit, stream and health probe
 // over one client, so it must hold at least as many idle connections
@@ -81,20 +54,17 @@ func (o Options) maxRetries() int {
 // would close and re-dial on every retry/resume wave.
 const maxIdleConnsPerWorker = 64
 
-// Coordinator fronts a worker fleet behind the same wire API a single
-// sweep server speaks: POST /v1/sweep accepts the identical
-// wire.SweepRequest, GET /v1/jobs/{id}/stream delivers one globally
-// indexed NDJSON stream with a single summary line. A client cannot
-// tell a coordinator from a worker except by the fleet fields its
-// summaries carry. Create with New, mount via Handler.
+// Coordinator is the sweep server's Front with a fan-out executor in
+// place of a local batch.Run: it places each sweep's jobs on the live
+// fleet and merges the shard streams into one globally indexed NDJSON
+// stream with a single summary line. A client cannot tell it from a
+// worker except by the fleet fields its summaries carry and its own
+// routes, GET /v1/workers and POST /v1/workers/drain. Create with New.
 type Coordinator struct {
-	opt      Options
-	client   *http.Client
-	runs     *server.Runs
-	handler  http.Handler
-	registry *metrics.Registry
-	metrics  *coordMetrics
-	alerts   *tracing.Alerts
+	*server.Front
+	opt     Options
+	client  *http.Client
+	metrics *coordMetrics
 
 	// mu guards the drain set. Draining is coordinator-local lifecycle
 	// state, not a probe outcome: a draining worker is excluded from new
@@ -106,10 +76,15 @@ type Coordinator struct {
 
 // New builds a coordinator over the configured fleet.
 func New(opt Options) *Coordinator {
+	if opt.HealthTimeout <= 0 {
+		opt.HealthTimeout = 2 * time.Second
+	}
+	if opt.MaxRetries <= 0 {
+		opt.MaxRetries = 2
+	}
 	c := &Coordinator{
 		opt:      opt,
 		client:   opt.Client,
-		runs:     server.NewRuns("co-", opt.KeepFinished),
 		draining: make(map[string]bool),
 	}
 	if c.client == nil {
@@ -124,36 +99,27 @@ func New(opt Options) *Coordinator {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	c.registry = metrics.NewRegistry()
-	c.metrics = newCoordMetrics(c.registry, c)
-	c.alerts = tracing.NewAlerts()
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sweep", c.handleSweep)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", c.handleStream)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", c.handleTrace)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleCancel)
-	mux.HandleFunc("GET /v1/workers", c.handleWorkers)
-	mux.HandleFunc("POST /v1/workers/drain", c.handleDrain)
-	mux.Handle("GET /metrics", c.registry.Handler())
-	mux.HandleFunc("GET /healthz", c.handleHealth)
-	c.handler = server.CanonicalErrors(mux)
+	c.Front = server.NewFront(server.FrontOptions{
+		Service:        "coord",
+		IDPrefix:       "co-",
+		MaxJobs:        opt.MaxJobs,
+		MaxRequestTime: opt.MaxRequestTime,
+		KeepFinished:   opt.KeepFinished,
+		Routes: map[string]http.HandlerFunc{
+			"GET /v1/workers":        c.handleWorkers,
+			"POST /v1/workers/drain": c.handleDrain,
+		},
+		Plan:   c.plan,
+		Health: func(h *wire.Health) { h.Workers = len(c.opt.Workers) },
+	})
+	c.metrics = newCoordMetrics(c.Metrics(), c)
 	return c
 }
-
-// Metrics exposes the coordinator's metric registry — the same one GET
-// /metrics collects.
-func (c *Coordinator) Metrics() *metrics.Registry { return c.registry }
-
-// Alerts exposes the coordinator's threshold watcher. Arm rules with
-// the Watch* helpers (or Alerts().Watch directly), register sinks with
-// Alerts().Notify, and start Alerts().Run once at boot.
-func (c *Coordinator) Alerts() *tracing.Alerts { return c.alerts }
 
 // WatchLostWorkers arms an alert on the cumulative lost-worker counter
 // (harvsim_coord_lost_workers_total) reaching bound.
 func (c *Coordinator) WatchLostWorkers(bound float64) {
-	c.alerts.Watch("lost_workers", bound, func() float64 { return float64(c.metrics.lostWorkers.Value()) })
+	c.Alerts().Watch("lost_workers", bound, func() float64 { return float64(c.metrics.lostWorkers.Value()) })
 }
 
 // WatchShardP99 arms one alert per configured worker on the p99 of its
@@ -161,7 +127,7 @@ func (c *Coordinator) WatchLostWorkers(bound float64) {
 func (c *Coordinator) WatchShardP99(bound float64) {
 	for _, w := range c.opt.Workers {
 		h := c.metrics.shardSeconds.With(w)
-		c.alerts.Watch("shard_p99_seconds:"+w, bound, func() float64 { return h.Quantile(0.99) })
+		c.Alerts().Watch("shard_p99_seconds:"+w, bound, func() float64 { return h.Quantile(0.99) })
 	}
 }
 
@@ -174,17 +140,9 @@ func (c *Coordinator) isDraining(worker string) bool {
 	return c.draining[strings.TrimRight(worker, "/")]
 }
 
-// Handler returns the coordinator's HTTP handler.
-func (c *Coordinator) Handler() http.Handler { return c.handler }
-
-// ServeHTTP lets the Coordinator be mounted directly.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c.handler.ServeHTTP(w, r)
-}
-
 // healthy probes one worker's liveness endpoint.
 func (c *Coordinator) healthy(ctx context.Context, worker string) error {
-	ctx, cancel := context.WithTimeout(ctx, c.opt.healthTimeout())
+	ctx, cancel := context.WithTimeout(ctx, c.opt.HealthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/healthz", nil)
 	if err != nil {
@@ -221,61 +179,18 @@ func (c *Coordinator) probeFleet(ctx context.Context) []wire.WorkerStatus {
 	return out
 }
 
-// handleSweep validates the sweep, places its jobs on the healthy
-// fleet, and replies 202 before any dispatch work happens. Validation
-// mirrors the single-host server exactly — same envelope, same codes —
-// so clients need no coordinator-specific error handling.
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req wire.SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		server.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "bad request body: %v", err)
-		return
-	}
-	if err := req.Spec.CheckVersion(); err != nil {
-		server.WriteError(w, http.StatusBadRequest, wire.CodeUnsupportedVersion, false, "%v", err)
-		return
-	}
-	// Scalar-field validation before any expansion work — mirrors the
-	// single-host server's order so both reject a bad settle_frac for
-	// the cost of a comparison.
-	if req.SettleFrac < 0 || req.SettleFrac >= 1 {
-		server.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, false,
-			"settle_frac must be in [0, 1), got %g", req.SettleFrac)
-		return
-	}
+// plan is the fan-out executor. It refuses the worker-protocol indices
+// field (a coordinator places whole sweeps itself), health-checks the
+// fleet before the sweep is accepted — a sweep with nowhere to run is a
+// 503 now, not a stream of failures later — and computes each job's
+// placement key. Draining workers are excluded up front: they may be
+// healthy, but they take no new shards.
+func (c *Coordinator) plan(w http.ResponseWriter, r *http.Request, req wire.SweepRequest, jobs []batch.Job) server.Exec {
 	if len(req.Indices) > 0 {
 		server.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, false,
 			"indices are a worker-protocol field; submit whole sweeps to a coordinator")
-		return
+		return nil
 	}
-	if n := req.Spec.Size(); n > c.opt.maxJobs() {
-		server.WriteError(w, http.StatusRequestEntityTooLarge, wire.CodeTooManyJobs, false,
-			"sweep would expand to %d jobs, coordinator budget is %d", n, c.opt.maxJobs())
-		return
-	}
-	expandStart := time.Now()
-	bspec, err := req.Spec.Compile()
-	if err != nil {
-		code := wire.CodeBadRequest
-		if errors.Is(err, wire.ErrUnsupportedVersion) {
-			code = wire.CodeUnsupportedVersion
-		}
-		server.WriteError(w, http.StatusBadRequest, code, false, "%v", err)
-		return
-	}
-	jobs, err := bspec.Jobs()
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "%v", err)
-		return
-	}
-	expandDur := time.Since(expandStart)
-
-	// Health-check the fleet before accepting: a sweep with nowhere to
-	// run is a 503 now, not a stream of failures later. Draining workers
-	// are excluded up front — they may be healthy, but they take no new
-	// shards.
 	var alive []string
 	for _, ws := range c.probeFleet(r.Context()) {
 		if ws.Healthy && !c.isDraining(ws.URL) {
@@ -285,9 +200,8 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if len(alive) == 0 {
 		server.WriteError(w, http.StatusServiceUnavailable, wire.CodeNoWorkers, true,
 			"none of the %d configured workers is live (healthy and not draining)", len(c.opt.Workers))
-		return
+		return nil
 	}
-
 	// Placement keys: content-address where the job has one (so a design
 	// point lands where its disk cache lives), index fallback otherwise.
 	keys := batch.Keys(jobs, batch.Options{SettleFrac: req.SettleFrac})
@@ -295,30 +209,12 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for i, j := range jobs {
 		names[i] = j.Name
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), c.opt.maxRequestTime())
-	run := c.runs.New(len(jobs), cancel)
-
-	// Tracing is opt-in per request, exactly as on a worker: the
-	// coordinator's recorder is the sweep's merge point — every shard's
-	// worker-side spans are imported into it, so one connected trace
-	// spans the whole fleet.
-	var root *tracing.Active
-	if req.Trace != "" {
-		rec := tracing.New(req.Trace, 0)
-		root = rec.Start("sweep", req.Span)
-		rec.Add("expand", root.ID(), -1, expandStart, expandDur)
-		run.Trace = rec
+	// With tracing on, the coordinator's recorder is the sweep's merge
+	// point: every shard's worker-side spans are imported into it, so
+	// one connected trace spans the whole fleet.
+	return func(ctx context.Context, run *server.Run, root *tracing.Active) wire.Summary {
+		return c.dispatch(ctx, run, req, keys, names, alive, root)
 	}
-	go c.dispatch(ctx, run, req, keys, names, alive, root)
-
-	server.WriteJSON(w, http.StatusAccepted, wire.SweepAccepted{
-		V:         wire.Version,
-		ID:        run.ID,
-		Jobs:      len(jobs),
-		StatusURL: "/v1/jobs/" + run.ID,
-		StreamURL: "/v1/jobs/" + run.ID + "/stream",
-	})
 }
 
 // sweepState is the shared bookkeeping of one coordinated sweep's
@@ -385,11 +281,12 @@ func (st *sweepState) fail(indices []int, format string, args ...any) {
 	}
 }
 
-// dispatch fans the sweep out over the fleet and finishes the run with
-// the merged summary. It returns only when every global index has been
-// recorded (delivered by a worker, or failed terminally).
-func (c *Coordinator) dispatch(ctx context.Context, run *server.Run, req wire.SweepRequest, keys, names []string, alive []string, root *tracing.Active) {
-	defer run.Cancel()
+// dispatch fans the sweep out over the fleet and returns the merged
+// summary. It returns only when every global index has been recorded
+// (delivered by a worker, or failed terminally); ctx carries the
+// sweep's budget, so an expired budget ends every shard stream and
+// fails the undelivered remainder.
+func (c *Coordinator) dispatch(ctx context.Context, run *server.Run, req wire.SweepRequest, keys, names []string, alive []string, root *tracing.Active) wire.Summary {
 	st := &sweepState{
 		run:       run,
 		req:       req,
@@ -439,11 +336,7 @@ func (c *Coordinator) dispatch(ctx context.Context, run *server.Run, req wire.Sw
 	summary.Resharded = resharded
 	summary.Retries = retries
 	summary.LostWorkers = lost
-	run.Finish(summary)
-	root.End()
-	run.Trace.Finish()
-	c.metrics.finished.Inc()
-	c.runs.Retire(run.ID)
+	return summary
 }
 
 // postShard submits one shard sub-sweep to a worker. A connection-level
@@ -489,6 +382,32 @@ var errTruncated = errors.New("shard stream truncated before its summary")
 // summary line arrived — the shard is complete.
 func (c *Coordinator) streamShard(ctx context.Context, st *sweepState, worker string, acc wire.SweepAccepted, received *int) error {
 	url := fmt.Sprintf("%s%s?from=%d", worker, acc.StreamURL, *received)
+	return c.getLines(ctx, url, func(line []byte) (bool, error) {
+		var probe struct {
+			Type string `json:"type"`
+		}
+		if err := json.Unmarshal(line, &probe); err != nil {
+			return false, fmt.Errorf("bad stream line: %w", err)
+		}
+		switch probe.Type {
+		case wire.LineResult:
+			var r wire.Result
+			if err := json.Unmarshal(line, &r); err != nil {
+				return false, fmt.Errorf("bad result line: %w", err)
+			}
+			*received++
+			st.record(r)
+		case wire.LineSummary:
+			return true, nil
+		}
+		return false, nil
+	})
+}
+
+// getLines GETs an NDJSON stream from a worker and hands each line to
+// fn until fn reports done (nil) or fails (its error). A stream that
+// ends first returns errTruncated.
+func (c *Coordinator) getLines(ctx context.Context, url string, fn func(line []byte) (done bool, err error)) error {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return err
@@ -505,22 +424,8 @@ func (c *Coordinator) streamShard(ctx context.Context, st *sweepState, worker st
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			return fmt.Errorf("bad stream line: %w", err)
-		}
-		switch probe.Type {
-		case wire.LineResult:
-			var r wire.Result
-			if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-				return fmt.Errorf("bad result line: %w", err)
-			}
-			*received++
-			st.record(r)
-		case wire.LineSummary:
-			return nil
+		if done, err := fn(sc.Bytes()); done || err != nil {
+			return err
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -584,7 +489,7 @@ func (c *Coordinator) runShard(ctx context.Context, st *sweepState, worker strin
 		}
 		// Transient drop vs dead worker: if the worker still answers its
 		// health probe, resume the same job's stream past what we have.
-		if attempt < c.opt.maxRetries() && c.healthy(ctx, worker) == nil {
+		if attempt < c.opt.MaxRetries && c.healthy(ctx, worker) == nil {
 			st.mu.Lock()
 			st.retries++
 			st.mu.Unlock()
@@ -602,28 +507,13 @@ func (c *Coordinator) runShard(ctx context.Context, st *sweepState, worker strin
 // promptly; failures are silently dropped — a lost trace fetch must
 // never fail the shard it observed.
 func (c *Coordinator) importShardTrace(ctx context.Context, rec *tracing.Recorder, worker, id string) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/jobs/"+id+"/trace", nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.client.Do(hreq)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
+	c.getLines(ctx, worker+"/v1/jobs/"+id+"/trace", func(line []byte) (bool, error) {
 		var ln wire.SpanLine
-		if json.Unmarshal(sc.Bytes(), &ln) != nil || ln.Type != wire.LineSpan {
-			continue
+		if json.Unmarshal(line, &ln) == nil && ln.Type == wire.LineSpan {
+			rec.Import(wire.SpanOf(ln))
 		}
-		rec.Import(wire.SpanOf(ln))
-	}
+		return false, nil
+	})
 }
 
 // loseWorker declares a worker dead: removes it from the ring and
@@ -672,59 +562,6 @@ func (c *Coordinator) loseWorker(ctx context.Context, st *sweepState, worker str
 	}
 }
 
-// handleJob reports a sweep's status; ?results=1 includes the full list
-// once done.
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	run := c.lookup(w, r)
-	if run == nil {
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, run.Status(r.URL.Query().Get("results") == "1"))
-}
-
-// handleStream streams the merged run as NDJSON (same semantics as a
-// worker's stream, ?from cursor included).
-func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
-	run := c.lookup(w, r)
-	if run == nil {
-		return
-	}
-	server.ServeStream(w, r, run)
-}
-
-// handleTrace replays the merged flight recorder as NDJSON span lines —
-// the same contract as a worker's trace endpoint, but spanning the
-// whole fleet (worker spans are imported as each shard completes).
-func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
-	run := c.lookup(w, r)
-	if run == nil {
-		return
-	}
-	if run.Trace == nil {
-		server.WriteError(w, http.StatusNotFound, wire.CodeNotFound, false,
-			"job %q was not traced (submit with a \"trace\" id)", run.ID)
-		return
-	}
-	server.ServeTrace(w, r, run.Trace)
-}
-
-// handleCancel cancels a running coordinated sweep. Shard streams abort
-// via context; the workers' sub-sweeps run to their own budgets. A
-// finished run reports "done" — same contract as the single-host server.
-func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	run := c.lookup(w, r)
-	if run == nil {
-		return
-	}
-	status := "cancelling"
-	if run.Done() {
-		status = "done"
-	} else {
-		run.Cancel()
-	}
-	server.WriteJSON(w, http.StatusOK, map[string]any{"v": wire.Version, "id": run.ID, "status": status})
-}
-
 // handleWorkers reports a live health probe of the configured fleet,
 // annotated with each worker's placement state: live, draining or lost.
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
@@ -770,23 +607,4 @@ func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	c.draining[worker] = true
 	c.mu.Unlock()
 	server.WriteJSON(w, http.StatusOK, wire.DrainStatus{V: wire.Version, Worker: worker, State: wire.WorkerDraining})
-}
-
-// handleHealth is the liveness probe.
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, wire.Health{
-		V:            wire.Version,
-		Status:       "ok",
-		ActiveSweeps: c.runs.Active(),
-		Workers:      len(c.opt.Workers),
-	})
-}
-
-func (c *Coordinator) lookup(w http.ResponseWriter, r *http.Request) *server.Run {
-	id := r.PathValue("id")
-	run := c.runs.Lookup(id)
-	if run == nil {
-		server.WriteError(w, http.StatusNotFound, wire.CodeNotFound, false, "unknown job %q", id)
-	}
-	return run
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -480,6 +481,55 @@ func TestCoordinatorErrorEnvelopes(t *testing.T) {
 	resp.Body.Close()
 	if !e.Error.Retryable {
 		t.Errorf("no_workers must be retryable: %+v", e)
+	}
+}
+
+// TestCoordinatorHonoursBudgetMS: the client's budget_ms bounds the
+// whole coordinated sweep, not only each worker's share of it. The one
+// worker accepts its shard and then holds the stream open without
+// writing a line; the merged stream must still resolve at the budget,
+// every job failed by the deadline, long before the coordinator's own
+// MaxRequestTime.
+func TestCoordinatorHonoursBudgetMS(t *testing.T) {
+	release := make(chan struct{})
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/healthz":
+			server.WriteJSON(w, http.StatusOK, wire.Health{V: wire.Version, Status: "ok"})
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/sweep":
+			server.WriteJSON(w, http.StatusAccepted, wire.SweepAccepted{V: wire.Version, ID: "sw-1",
+				StatusURL: "/v1/jobs/sw-1", StreamURL: "/v1/jobs/sw-1/stream"})
+		default:
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+		}
+	}))
+	defer stalled.Close()
+	defer close(release)
+	coord := httptest.NewServer(New(Options{Workers: []string{stalled.URL}, MaxRequestTime: 5 * time.Second}).Handler())
+	defer coord.Close()
+
+	spec := wire.Spec{
+		Scenario: wire.Scenario{Kind: "charge", DurationS: 0.1},
+		Axes:     []wire.Axis{{Kind: wire.AxisInt, Param: "dickson.stages", Ints: []int{3, 4, 5, 6}}},
+	}
+	start := time.Now()
+	results, summary := stream(t, coord.URL, post(t, coord.URL, wire.SweepRequest{Spec: spec, BudgetMS: 300}), nil)
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("summary arrived after %v: budget_ms 300 did not bound the coordinated sweep", d)
+	}
+	if len(results) != 4 || summary.Jobs != 4 || summary.Failed != 4 {
+		t.Fatalf("%d results, summary %+v; want all 4 jobs failed", len(results), summary)
+	}
+	for _, r := range results {
+		if !strings.Contains(r.Error, context.DeadlineExceeded.Error()) {
+			t.Errorf("index %d: error %q, want %q", r.Index, r.Error, context.DeadlineExceeded)
+		}
 	}
 }
 

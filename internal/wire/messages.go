@@ -25,9 +25,11 @@ type SweepRequest struct {
 	// SettleFrac is the transient fraction discarded before power
 	// metrics (part of the job identity); 0 selects the batch default.
 	SettleFrac float64 `json:"settle_frac,omitempty"`
-	// BudgetMS requests a wall-clock budget; the server clamps it to its
-	// own per-request maximum and cancels the sweep's context when it
-	// expires. 0 selects the server's maximum.
+	// BudgetMS requests a wall-clock budget; the server or coordinator
+	// clamps it to its own per-request maximum and cancels the sweep's
+	// context when it expires. On a coordinator the budget bounds the
+	// whole coordinated sweep, re-shards included: undelivered jobs
+	// stream as failed when it expires. 0 selects the maximum.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
 	// NoLockstep is accepted and ignored. It used to opt a sweep out of
 	// the ensemble-lockstep dispatch, which is gone: every job now runs

@@ -1,15 +1,20 @@
 #!/usr/bin/env sh
 # Coverage floors for the packages the nonlinear/stochastic workload
-# lives in. The floors are set ~5 points under the measured coverage at
-# the time they were introduced (blocks 91.4%, harvester 86.0% at PR 3)
-# so routine drift passes but a PR that lands a subsystem without tests
-# fails.
+# lives in and for the two service packages. Each floor is set ~5
+# points under the measured coverage at the time it was introduced
+# (blocks 91.4% and harvester 86.0% when their floors were set; server
+# 93.0% and shard 81.2% when the server and the coordinator came to
+# share one front), so routine drift passes but a change that lands a
+# subsystem without tests, or folds route tests into a table that
+# drops a case, fails.
 set -e
-out=$(go test -cover ./internal/blocks ./internal/harvester)
+out=$(go test -cover ./internal/blocks ./internal/harvester ./internal/server ./internal/shard)
 echo "$out"
 echo "$out" | awk '
   $2 == "harvsim/internal/blocks"    { floor = 85 }
   $2 == "harvsim/internal/harvester" { floor = 80 }
+  $2 == "harvsim/internal/server"    { floor = 88 }
+  $2 == "harvsim/internal/shard"     { floor = 76 }
   floor > 0 {
     cov = ""
     for (i = 1; i <= NF; i++) if ($i == "coverage:") cov = $(i + 1)

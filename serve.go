@@ -2,12 +2,13 @@ package harvsim
 
 // This file is the service sub-surface of the facade: the HTTP sweep
 // server a single host runs (Serve) and the shard coordinator that
-// fronts a fleet of them (Coordinate). Both speak the same versioned
-// wire API (internal/wire, WireVersion): POST /v1/sweep in, one
-// NDJSON stream of results plus a summary line out, every non-2xx
-// response carrying the canonical {"error":{"code","message",
-// "retryable"}} envelope. See harvsim.go for the core model and
-// sweep.go for the batch layer.
+// fronts a fleet of them (Coordinate). Both are one HTTP front — one
+// validation and budget path — over a local or a fan-out executor, and
+// speak the versioned wire API (internal/wire, WireVersion): POST
+// /v1/sweep in, one NDJSON stream of results plus a summary line out,
+// every non-2xx response carrying the canonical {"error":{"code",
+// "message","retryable"}} envelope. See harvsim.go for the core model
+// and sweep.go for the batch layer.
 
 import (
 	"harvsim/internal/server"
@@ -43,11 +44,12 @@ func Serve(opt ServeOptions) *SweepService { return server.New(opt) }
 // knobs.
 type CoordinateOptions = shard.Options
 
-// Coordinator partitions one sweep across a fleet of sweep services by
-// consistent (rendezvous) hash on the jobs' content-address keys, fans
-// the shards out over the same wire API a client would use, merges the
-// per-worker streams into one globally indexed stream, and re-shards
-// the unfinished jobs of a worker lost mid-sweep onto the survivors.
+// Coordinator is the SweepService's front with a fan-out executor: it
+// partitions one sweep across a fleet of sweep services by consistent
+// (rendezvous) hash on the jobs' content-address keys, fans the shards
+// out over the same wire API a client would use, merges the per-worker
+// streams into one globally indexed stream, and re-shards the
+// unfinished jobs of a worker lost mid-sweep onto the survivors.
 // Clients talk to it exactly as they would to a single SweepService.
 type Coordinator = shard.Coordinator
 
