@@ -6,7 +6,7 @@
 //	go test -run '^$' -bench 'Benchmark(Table1|Table2|BatchSweep)' \
 //	    -benchmem . | tee bench.out
 //	benchgate -parse bench.out -out bench.json          # snapshot
-//	benchgate -parse bench.out -baseline BENCH_2.json   # gate (exit 1)
+//	benchgate -parse bench.out -baseline BENCH_10.json  # gate (exit 1)
 //
 // Refresh the committed baseline after an intentional performance change
 // with -write-baseline.

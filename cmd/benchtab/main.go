@@ -49,6 +49,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 		os.Exit(1)
 	}
+	switch *only {
+	case "", "table1", "table2", "fig8a", "fig8b", "fig9", "ablations", "xengine":
+	default:
+		fmt.Fprintf(os.Stderr, "benchtab: -only %q names no experiment (want table1, table2, fig8a, fig8b, fig9, ablations or xengine)\n", *only)
+		os.Exit(2)
+	}
 	if *asJSON {
 		switch *only {
 		case "", "table1", "table2", "xengine":

@@ -13,20 +13,18 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
-
-	"sort"
 
 	"harvsim/internal/batch"
 	"harvsim/internal/harvester"
@@ -93,13 +91,6 @@ func usage() {
 	fmt.Fprint(flag.CommandLine.Output(), usageFooter)
 }
 
-// bistableOpts gathers the double-well workload knobs threaded from the
-// flags into both the local scenario and the declarative remote spec.
-type bistableOpts struct {
-	on                      bool
-	well, barrier, xi1, xi2 float64
-}
-
 // The bistable workload's excitation band: wrapped around the default
 // geometry's ~18 Hz in-well resonance rather than the monostable
 // device's 55-85 Hz band.
@@ -125,174 +116,194 @@ func parseFloatList(s string) ([]float64, error) {
 	return out, nil
 }
 
-func main() {
-	var (
-		simFor   = flag.Float64("sim", 12, "simulated span per candidate [s]")
-		vc       = flag.Float64("vc", 2.5, "storage operating point [V]")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS; in remote mode, requested of the server)")
-		topK     = flag.Int("top", 10, "ranked designs to print")
-		k3List   = flag.String("k3", "", "comma-separated cubic spring coefficients [N/m^3] to add as a Duffing sweep axis (e.g. 0,1e9,5e9)")
-		noiseSd  = flag.Uint64("noise-seed", 0, "nonzero: replace the sinusoid with seeded band-limited noise (55-85 Hz, RMS 0.59 m/s^2)")
-		bistable = flag.Bool("bistable", false, "double-well (bistable) device under seeded noise (8-40 Hz band); needs -noise-seed")
-		wellM    = flag.Float64("well", harvester.BistableWellM, "bistable: well displacement [m]")
-		barrierJ = flag.Float64("barrier", harvester.BistableBarrierJ, "bistable: double-well barrier height [J]")
-		xi1      = flag.Float64("xi1", 0, "bistable: linear coupling correction [1/m]")
-		xi2      = flag.Float64("xi2", 0, "bistable: quadratic coupling correction [1/m^2]")
-		seeds    = flag.Int("seeds", 1, "noise realisations per design point (>1 adds a seed ensemble axis and reports mean/CI statistics; needs -noise-seed)")
-		useCache = flag.Bool("cache", false, "serve repeated candidates from an in-memory result cache")
-		cacheDir = flag.String("cache-dir", "", "persist cached results under this directory (implies -cache)")
-		remote   = flag.String("remote", "", "sweep server base URL (e.g. http://127.0.0.1:8080); runs the sweep remotely instead of simulating locally")
-		trace    = flag.Bool("trace", false, "trace the sweep and render a per-phase waterfall of the slowest jobs (results are bit-identical either way)")
-		traceTop = flag.Int("trace-top", 5, "slowest jobs to show in the -trace waterfall")
-		verbose  = flag.Bool("v", false, "verbose: full cache counters and complete ensemble CI table")
-	)
-	flag.Usage = usage
-	flag.Parse()
+// options is one parsed command line: the sweep's wire spec and how to
+// run and render it. Local and remote mode run the same spec.
+type options struct {
+	spec     wire.Spec
+	vc       float64
+	workers  int
+	topK     int
+	seeds    int
+	useCache bool
+	cacheDir string
+	remote   string
+	trace    bool
+	traceTop int
+	verbose  bool
+}
 
-	usageErr := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "sweep: "+format+"\n", args...)
+// parseArgs defines the command's flags on fs, parses args and checks
+// them. A returned error is a usage error.
+func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
+	var (
+		o                                 options
+		simFor, wellM, barrierJ, xi1, xi2 float64
+		k3List                            string
+		noiseSd                           uint64
+		bistable                          bool
+	)
+	fs.Float64Var(&simFor, "sim", 12, "simulated span per candidate [s]")
+	fs.Float64Var(&o.vc, "vc", 2.5, "storage operating point [V]")
+	fs.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS; in remote mode, requested of the server)")
+	fs.IntVar(&o.topK, "top", 10, "ranked designs to print")
+	fs.StringVar(&k3List, "k3", "", "comma-separated cubic spring coefficients [N/m^3] to add as a Duffing sweep axis (e.g. 0,1e9,5e9)")
+	fs.Uint64Var(&noiseSd, "noise-seed", 0, "nonzero: replace the sinusoid with seeded band-limited noise (55-85 Hz, RMS 0.59 m/s^2)")
+	fs.BoolVar(&bistable, "bistable", false, "double-well (bistable) device under seeded noise (8-40 Hz band); needs -noise-seed")
+	fs.Float64Var(&wellM, "well", harvester.BistableWellM, "bistable: well displacement [m]")
+	fs.Float64Var(&barrierJ, "barrier", harvester.BistableBarrierJ, "bistable: double-well barrier height [J]")
+	fs.Float64Var(&xi1, "xi1", 0, "bistable: linear coupling correction [1/m]")
+	fs.Float64Var(&xi2, "xi2", 0, "bistable: quadratic coupling correction [1/m^2]")
+	fs.IntVar(&o.seeds, "seeds", 1, "noise realisations per design point (>1 adds a seed ensemble axis and reports mean/CI statistics; needs -noise-seed)")
+	fs.BoolVar(&o.useCache, "cache", false, "serve repeated candidates from an in-memory result cache")
+	fs.StringVar(&o.cacheDir, "cache-dir", "", "persist cached results under this directory (implies -cache)")
+	fs.StringVar(&o.remote, "remote", "", "sweep server base URL (e.g. http://127.0.0.1:8080); runs the sweep remotely instead of simulating locally")
+	fs.BoolVar(&o.trace, "trace", false, "trace the sweep and render a per-phase waterfall of the slowest jobs (results are bit-identical either way)")
+	fs.IntVar(&o.traceTop, "trace-top", 5, "slowest jobs to show in the -trace waterfall")
+	fs.BoolVar(&o.verbose, "v", false, "verbose: full cache counters and complete ensemble CI table")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	switch {
+	case o.seeds < 1:
+		return options{}, fmt.Errorf("-seeds must be >= 1 (got %d)", o.seeds)
+	case o.seeds > 1 && noiseSd == 0:
+		return options{}, fmt.Errorf("-seeds %d needs a stochastic workload: set -noise-seed (the ensemble base seed)", o.seeds)
+	case bistable && noiseSd == 0:
+		return options{}, fmt.Errorf("-bistable is noise-driven: set -noise-seed (the realisation seed)")
+	case wellM < 0 || barrierJ < 0:
+		return options{}, fmt.Errorf("-well and -barrier must be >= 0 (got %g, %g)", wellM, barrierJ)
+	case o.remote != "" && (o.useCache || o.cacheDir != ""):
+		return options{}, fmt.Errorf("-cache/-cache-dir are local-mode flags; the server at -remote owns the (always-on) shared cache")
+	}
+	var k3s []float64
+	if k3List != "" {
+		var err error
+		k3s, err = parseFloatList(k3List)
+		if err != nil {
+			return options{}, fmt.Errorf("-k3: %v", err)
+		}
+		if len(k3s) == 0 {
+			return options{}, fmt.Errorf("-k3 %q holds no values", k3List)
+		}
+	}
+	sc := wire.Scenario{Kind: "charge", DurationS: simFor, Set: map[string]float64{"initial_vc": o.vc}}
+	switch {
+	case bistable:
+		sc.Kind, sc.WellM, sc.BarrierJ, sc.Xi1, sc.Xi2 = "bistable", wellM, barrierJ, xi1, xi2
+		sc.NoiseFLoHz, sc.NoiseFHiHz, sc.NoiseSeed = bistableFLo, bistableFHi, wire.Seed(noiseSd)
+	case noiseSd != 0:
+		sc.Kind, sc.NoiseFLoHz, sc.NoiseFHiHz, sc.NoiseSeed = "noise", 55, 85, wire.Seed(noiseSd)
+	}
+	o.spec = designSpec(sc, k3s, o.seeds)
+	return o, nil
+}
+
+func main() {
+	flag.Usage = usage
+	o, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *seeds < 1 {
-		usageErr("-seeds must be >= 1 (got %d)", *seeds)
-	}
-	if *seeds > 1 && *noiseSd == 0 {
-		usageErr("-seeds %d needs a stochastic workload: set -noise-seed (the ensemble base seed)", *seeds)
-	}
-	if *bistable && *noiseSd == 0 {
-		usageErr("-bistable is noise-driven: set -noise-seed (the realisation seed)")
-	}
-	if *wellM < 0 || *barrierJ < 0 {
-		usageErr("-well and -barrier must be >= 0 (got %g, %g)", *wellM, *barrierJ)
-	}
-	if *remote != "" && (*useCache || *cacheDir != "") {
-		usageErr("-cache/-cache-dir are local-mode flags; the server at -remote owns the (always-on) shared cache")
-	}
-	var k3s []float64
-	if *k3List != "" {
-		var err error
-		k3s, err = parseFloatList(*k3List)
-		if err != nil {
-			usageErr("-k3: %v", err)
-		}
-		if len(k3s) == 0 {
-			usageErr("-k3 %q holds no values", *k3List)
-		}
-	}
-
-	bi := bistableOpts{}
-	if *bistable {
-		bi = bistableOpts{on: true, well: *wellM, barrier: *barrierJ, xi1: *xi1, xi2: *xi2}
-	}
-
-	if *remote != "" {
-		if err := runRemote(os.Stdout, *remote, *simFor, *vc, *workers, *topK, k3s, *noiseSd, *seeds, bi, *trace, *traceTop, *verbose); err != nil {
+	if o.remote != "" {
+		if err := runRemote(os.Stdout, o); err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: remote: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
+	failed, err := runLocal(os.Stdout, o)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		os.Exit(1)
+	}
+	if failed > 0 {
+		os.Exit(1)
+	}
+}
 
-	base := harvester.ChargeScenario(*simFor)
-	base.Cfg.InitialVc = *vc
-	if *noiseSd != 0 {
-		noisy := harvester.NoiseScenario(*simFor, 55, 85, *noiseSd)
-		noisy.Cfg.InitialVc = *vc
-		base = noisy
-	}
-	if bi.on {
-		// Mirrors remoteSpec's "bistable" wire scenario exactly, so local
-		// and remote runs share cache identities.
-		b := harvester.BistableScenario(*simFor, bi.well, bi.barrier, bi.xi1, bi.xi2,
-			bistableFLo, bistableFHi, *noiseSd)
-		b.Cfg.InitialVc = *vc
-		base = b
-	}
-	spec := batch.SweepSpec{
-		Base: batch.Job{
-			Name:     "dickson",
-			Scenario: base,
-			Engine:   harvester.Proposed,
-		},
-		Axes: []batch.Axis{
-			batch.IntAxis("stages", []int{2, 3, 4, 5, 6, 7}, func(j *batch.Job, n int) {
-				j.Scenario.Cfg.Dickson.Stages = n
-			}),
-			batch.FloatAxis("cstage", []float64{10e-6, 22e-6, 47e-6}, func(j *batch.Job, c float64) {
-				j.Scenario.Cfg.Dickson.CStage = c
-			}),
+// designSpec builds the one sweep both modes run: the Dickson design
+// grid (stage count x stage capacitance, plus the optional k3 and seed
+// axes) over the base workload sc, ranked by mean power into the store
+// over the settled window. Local mode compiles it and remote mode
+// submits it, so local and remote runs share cache identities by
+// construction.
+func designSpec(sc wire.Scenario, k3s []float64, seeds int) wire.Spec {
+	spec := wire.Spec{
+		Name:     "dickson",
+		V:        wire.Version,
+		Scenario: sc,
+		Metric:   wire.MetricPStoreMeanSettled,
+		Axes: []wire.Axis{
+			{Kind: wire.AxisInt, Param: "dickson.stages", Name: "stages", Ints: []int{2, 3, 4, 5, 6, 7}},
+			{Kind: wire.AxisFloat, Param: "dickson.cstage", Name: "cstage", Values: []float64{10e-6, 22e-6, 47e-6}},
 		},
 	}
 	if len(k3s) > 0 {
-		spec.Axes = append(spec.Axes, batch.FloatAxis("k3", k3s, func(j *batch.Job, v float64) {
-			j.Scenario.Cfg.Microgen.K3 = v
-		}))
+		spec.Axes = append(spec.Axes, wire.Axis{Kind: wire.AxisFloat, Param: "microgen.k3", Name: "k3", Values: k3s})
 	}
-	if *seeds > 1 {
-		spec.Axes = append(spec.Axes, batch.SeedAxis("seed", batch.Seeds(*noiseSd, *seeds),
-			func(j *batch.Job, s uint64) { j.Scenario.Cfg.VibNoise.Seed = s }))
+	if seeds > 1 {
+		spec.Axes = append(spec.Axes, wire.Axis{Kind: wire.AxisSeed, Name: "seed",
+			BaseSeed: sc.NoiseSeed, Count: seeds})
 	}
-	// Rank by mean power into the store over the settled window. The
-	// metric closure is shared by every expanded job, so it derives
-	// everything from its per-job harvester argument; MetricKey declares
-	// it a pure function of the run so results stay cacheable (the same
-	// named metric the wire format and the sweep server resolve, so
-	// local and remote runs share cache identities).
-	spec.Base.Metric = func(h *harvester.Harvester, eng harvester.Engine) float64 {
-		return h.PStoreTrace.Slice(*simFor/3, *simFor).Mean()
-	}
-	spec.Base.MetricKey = wire.MetricPStoreMeanSettled
+	return spec
+}
 
-	opt := batch.Options{Workers: *workers}
+// runLocal compiles the sweep's wire spec and runs it in process,
+// rendering the report remote mode renders. It returns the number of
+// failed candidates; an error means no job ran.
+func runLocal(w io.Writer, o options) (int, error) {
+	spec, err := o.spec.Compile()
+	if err != nil {
+		return 0, err
+	}
+	opt := batch.Options{Workers: o.workers}
 	switch {
-	case *cacheDir != "":
-		c, err := batch.NewDiskCache(0, *cacheDir)
+	case o.cacheDir != "":
+		c, err := batch.NewDiskCache(0, o.cacheDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
+			return 0, err
 		}
 		opt.Cache = c
-	case *useCache:
+	case o.useCache:
 		opt.Cache = batch.NewCache(0)
 	}
 
-	// -trace: the local run owns its recorder directly — same span
-	// topology the server records, minus the queue phase it doesn't have.
+	// -trace: the local run owns its recorder directly — a root sweep
+	// span over the batch layer's job spans; a server's trace adds its
+	// expand, queue and exec phases under the root.
 	var rec *tracing.Recorder
 	var rootSpan *tracing.Active
-	if *trace {
+	if o.trace {
 		rec = tracing.New("", 0)
 		rootSpan = rec.Start("sweep", "")
 		opt.Trace = rec
 		opt.TraceParent = rootSpan.ID()
 	}
 
-	fmt.Printf("design sweep: %d candidates, %.3g s simulated each, %d workers\n",
-		spec.Size(), *simFor, opt.EffectiveWorkers())
+	fmt.Fprintf(w, "design sweep: %d candidates, %.3g s simulated each, %d workers\n",
+		spec.Size(), o.spec.Scenario.DurationS, opt.EffectiveWorkers())
 	start := time.Now()
 	results, err := batch.Sweep(context.Background(), spec, opt)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
+		return 0, err
 	}
 	wall := time.Since(start)
 	rootSpan.End()
 	rec.Finish()
 
-	var cacheStats *batch.CacheStats
+	var cacheStats *wire.CacheStats
 	if opt.Cache != nil {
-		cs := opt.Cache.Stats()
+		cs := wire.CacheStatsOf(opt.Cache)
 		cacheStats = &cs
 	}
-	failed := report(os.Stdout, results, wall, *topK, *seeds, *vc, *simFor, cacheStats, *verbose)
+	failed := report(w, o, results, wall, cacheStats)
 	if rec != nil {
 		spans, _ := rec.Snapshot(0)
-		renderTrace(os.Stdout, spans, *traceTop)
+		renderTrace(w, spans, o.traceTop)
 	}
-	if failed > 0 {
-		os.Exit(1)
-	}
+	return failed, nil
 }
 
 // renderTrace prints a completed trace: the sweep-level phases first
@@ -392,26 +403,25 @@ func renderTrace(w io.Writer, spans []tracing.Span, top int) {
 // both read identically — and returns the number of failed candidates
 // (the caller decides the process exit status; report itself never
 // exits, so the remote path can wrap the count in a proper error).
-func report(w io.Writer, results []batch.Result, wall time.Duration, topK, seeds int, vc, simFor float64,
-	cacheStats *batch.CacheStats, verbose bool) int {
+func report(w io.Writer, o options, results []batch.Result, wall time.Duration, cacheStats *wire.CacheStats) int {
 	sum := batch.Summarize(results)
 	fmt.Fprintf(w, "completed in %v wall (summed job time %v)\n\n",
 		wall.Round(time.Millisecond), sum.CPUTime.Round(time.Millisecond))
 
 	var ranked []batch.EnsemblePoint
-	if seeds > 1 {
+	if o.seeds > 1 {
 		points := batch.Ensembles(results)
-		ranked = batch.EnsembleTop(points, topK)
+		ranked = batch.EnsembleTop(points, o.topK)
 		fmt.Fprintf(w, "ensemble power into store at %.3g V over %d seeds (top %d by mean):\n",
-			vc, seeds, topK)
+			o.vc, o.seeds, o.topK)
 		fmt.Fprint(w, batch.EnsembleTable(ranked))
-		if verbose && len(points) > len(ranked) {
+		if o.verbose && len(points) > len(ranked) {
 			fmt.Fprintf(w, "\nall %d design points (95%% CI half-widths):\n", len(points))
 			fmt.Fprint(w, batch.EnsembleTable(points))
 		}
 	} else {
-		fmt.Fprintf(w, "power into store at %.3g V (top %d):\n", vc, topK)
-		fmt.Fprint(w, batch.Table(batch.Top(results, topK)))
+		fmt.Fprintf(w, "power into store at %.3g V (top %d):\n", o.vc, o.topK)
+		fmt.Fprint(w, batch.Table(batch.Top(results, o.topK)))
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, sum.String())
@@ -419,7 +429,7 @@ func report(w io.Writer, results []batch.Result, wall time.Duration, topK, seeds
 		cs := cacheStats
 		fmt.Fprintf(w, "cache: %d hits (%d from disk, %d in-flight shares), %d misses, %d stale, %d evictions, %d entries\n",
 			cs.Hits, cs.DiskHits, cs.Shared, cs.Misses, cs.Stale, cs.Evictions, cs.Entries)
-		if verbose {
+		if o.verbose {
 			total := cs.Hits + cs.Misses
 			if total > 0 {
 				fmt.Fprintf(w, "cache: %.1f%% hit rate over %d lookups (cold sweeps miss everything; a warm repeat hits everything)\n",
@@ -427,7 +437,7 @@ func report(w io.Writer, results []batch.Result, wall time.Duration, topK, seeds
 			}
 		}
 	}
-	if sum.ArgMaxMetric >= 0 && seeds == 1 {
+	if sum.ArgMaxMetric >= 0 && o.seeds == 1 {
 		best := results[sum.ArgMaxMetric]
 		fmt.Fprintf(w, "\nbest design: %s -> %.1f uW\n", best.Name, best.Metric*1e6)
 	}
@@ -446,137 +456,46 @@ func report(w io.Writer, results []batch.Result, wall time.Duration, topK, seeds
 	return sum.Failed
 }
 
-// remoteSpec builds the declarative wire form of the exact sweep the
-// local mode assembles with closures — the wire round-trip tests pin
-// that both produce identical job identities, so a remote run hits
-// cache entries primed locally and vice versa.
-func remoteSpec(simFor, vc float64, k3s []float64, noiseSd uint64, seeds int, bi bistableOpts) wire.Spec {
-	sc := wire.Scenario{Kind: "charge", DurationS: simFor,
-		Set: map[string]float64{"initial_vc": vc}}
-	if noiseSd != 0 {
-		sc = wire.Scenario{Kind: "noise", DurationS: simFor,
-			NoiseFLoHz: 55, NoiseFHiHz: 85, NoiseSeed: wire.Seed(noiseSd),
-			Set: map[string]float64{"initial_vc": vc}}
-	}
-	if bi.on {
-		sc = wire.Scenario{Kind: "bistable", DurationS: simFor,
-			WellM: bi.well, BarrierJ: bi.barrier, Xi1: bi.xi1, Xi2: bi.xi2,
-			NoiseFLoHz: bistableFLo, NoiseFHiHz: bistableFHi, NoiseSeed: wire.Seed(noiseSd),
-			Set: map[string]float64{"initial_vc": vc}}
-	}
-	spec := wire.Spec{
-		Name:     "dickson",
-		V:        wire.Version,
-		Scenario: sc,
-		Metric:   wire.MetricPStoreMeanSettled,
-		Axes: []wire.Axis{
-			{Kind: wire.AxisInt, Param: "dickson.stages", Name: "stages", Ints: []int{2, 3, 4, 5, 6, 7}},
-			{Kind: wire.AxisFloat, Param: "dickson.cstage", Name: "cstage", Values: []float64{10e-6, 22e-6, 47e-6}},
-		},
-	}
-	if len(k3s) > 0 {
-		spec.Axes = append(spec.Axes, wire.Axis{Kind: wire.AxisFloat, Param: "microgen.k3", Name: "k3", Values: k3s})
-	}
-	if seeds > 1 {
-		spec.Axes = append(spec.Axes, wire.Axis{Kind: wire.AxisSeed, Name: "seed",
-			BaseSeed: wire.Seed(noiseSd), Count: seeds})
-	}
-	return spec
-}
-
-// runRemote submits the sweep to a server and renders the streamed
-// results with the same report the local mode prints. It returns a
-// non-nil error — and renders nothing that could be mistaken for a
-// successful sweep — whenever the stream is truncated (connection
+// runRemote submits the sweep to a server or coordinator and renders
+// the streamed results with the same report the local mode prints. It
+// returns a non-nil error — and renders nothing that could be mistaken
+// for a successful sweep — whenever the stream is truncated (connection
 // dropped, server killed mid-sweep, missing or duplicate results) or
 // any job failed server-side; the caller turns that into a non-zero
 // exit.
-func runRemote(w io.Writer, baseURL string, simFor, vc float64, workers, topK int, k3s []float64,
-	noiseSd uint64, seeds int, bi bistableOpts, traced bool, traceTop int, verbose bool) error {
-	baseURL = strings.TrimRight(baseURL, "/")
-	req := wire.SweepRequest{Spec: remoteSpec(simFor, vc, k3s, noiseSd, seeds, bi),
-		Workers: workers}
-	if traced {
+func runRemote(w io.Writer, o options) error {
+	ctx, client := context.Background(), http.DefaultClient
+	baseURL := strings.TrimRight(o.remote, "/")
+	req := wire.SweepRequest{Spec: o.spec, Workers: o.workers}
+	if o.trace {
 		req.Trace = tracing.NewTraceID()
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
 	start := time.Now()
-	resp, err := http.Post(baseURL+"/v1/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	acc := wire.SweepAccepted{}
-	if resp.StatusCode != http.StatusAccepted {
-		msg, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
+	acc, err := wire.Submit(ctx, client, baseURL, req)
+	var refused *wire.ErrorDetail
+	if errors.As(err, &refused) {
 		// Every non-2xx carries the canonical envelope; surface its stable
 		// code (and whether a retry can help) rather than raw HTTP noise.
-		var e wire.Error
-		if json.Unmarshal(msg, &e) == nil && e.Error.Code != "" {
-			hint := ""
-			if e.Error.Retryable {
-				hint = "; retrying may succeed"
-			}
-			return fmt.Errorf("server refused sweep [%s]: %s%s", e.Error.Code, e.Error.Message, hint)
+		hint := ""
+		if refused.Retryable {
+			hint = "; retrying may succeed"
 		}
-		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(msg)))
+		return fmt.Errorf("server refused sweep [%s]: %s%s", refused.Code, refused.Message, hint)
 	}
-	err = json.NewDecoder(resp.Body).Decode(&acc)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("decoding accept response: %w", err)
-	}
-	fmt.Fprintf(w, "design sweep: %d candidates on %s (job %s)\n", acc.Jobs, baseURL, acc.ID)
-
-	stream, err := http.Get(baseURL + acc.StreamURL)
 	if err != nil {
 		return err
 	}
-	defer stream.Body.Close()
-	if stream.StatusCode != http.StatusOK {
-		return fmt.Errorf("stream: %s", stream.Status)
-	}
+	fmt.Fprintf(w, "design sweep: %d candidates on %s (job %s)\n", acc.Jobs, baseURL, acc.ID)
 
 	// Reconstruct batch results from the NDJSON lines so the rendering
 	// (ranking, ensembles, summary) is byte-for-byte the local one.
 	results := make([]batch.Result, 0, acc.Jobs)
-	var summary *wire.Summary
-	scanner := bufio.NewScanner(stream.Body)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	for scanner.Scan() {
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(scanner.Bytes(), &probe); err != nil {
-			return fmt.Errorf("bad stream line %q: %v", scanner.Text(), err)
-		}
-		switch probe.Type {
-		case wire.LineResult:
-			var r wire.Result
-			if err := json.Unmarshal(scanner.Bytes(), &r); err != nil {
-				return err
-			}
-			results = append(results, wire.BatchResultOf(r))
-		case wire.LineSummary:
-			s := wire.Summary{}
-			if err := json.Unmarshal(scanner.Bytes(), &s); err != nil {
-				return err
-			}
-			summary = &s
-		default:
-			return fmt.Errorf("unknown stream line type %q", probe.Type)
-		}
-	}
-	if err := scanner.Err(); err != nil {
-		return fmt.Errorf("stream read failed after %d of %d results: %w (server killed mid-sweep?)",
+	summary, err := wire.ReadStream(ctx, client, baseURL+acc.StreamURL, func(r wire.Result) {
+		results = append(results, wire.BatchResultOf(r))
+	})
+	if err != nil {
+		return fmt.Errorf("stream failed after %d of %d results: %w (server killed mid-sweep?)",
 			len(results), acc.Jobs, err)
-	}
-	if summary == nil {
-		return fmt.Errorf("stream ended without a summary after %d of %d results (server killed mid-sweep?)",
-			len(results), acc.Jobs)
 	}
 	if len(results) != acc.Jobs {
 		return fmt.Errorf("stream truncated: received %d of %d results", len(results), acc.Jobs)
@@ -599,16 +518,12 @@ func runRemote(w io.Writer, baseURL string, simFor, vc float64, workers, topK in
 		ordered[r.Index] = r
 	}
 
-	var cacheStats *batch.CacheStats
-	if verbose {
-		if resp, err := http.Get(baseURL + "/v1/cache/stats"); err == nil {
+	var cacheStats *wire.CacheStats
+	if o.verbose {
+		if resp, err := client.Get(baseURL + "/v1/cache/stats"); err == nil {
 			var cs wire.CacheStats
 			if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&cs) == nil {
-				cacheStats = &batch.CacheStats{
-					Hits: cs.Hits, Misses: cs.Misses, Stale: cs.Stale,
-					DiskHits: cs.DiskHits, Shared: cs.Shared,
-					Evictions: cs.Evictions, Entries: cs.Entries,
-				}
+				cacheStats = &cs
 			}
 			resp.Body.Close()
 		}
@@ -629,43 +544,21 @@ func runRemote(w io.Writer, baseURL string, simFor, vc float64, workers, topK in
 		}
 		fmt.Fprintln(w)
 	}
-	failed := report(w, ordered, wall, topK, seeds, vc, simFor, cacheStats, verbose)
-	if traced {
+	failed := report(w, o, ordered, wall, cacheStats)
+	if o.trace {
 		// The stream's summary line means the sweep finished; the trace
 		// endpoint seals moments later, and its replay blocks until then.
-		if spans, err := fetchTrace(baseURL, acc.ID); err != nil {
+		var spans []tracing.Span
+		if err := wire.ReadTrace(ctx, client, baseURL, acc.ID, func(s tracing.Span) {
+			spans = append(spans, s)
+		}); err != nil {
 			fmt.Fprintf(w, "\ntrace: fetch failed: %v\n", err)
 		} else {
-			renderTrace(w, spans, traceTop)
+			renderTrace(w, spans, o.traceTop)
 		}
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d jobs failed server-side", failed, acc.Jobs)
 	}
 	return nil
-}
-
-// fetchTrace replays a finished sweep's span stream into memory — the
-// same NDJSON a coordinator imports per shard, here for rendering.
-func fetchTrace(baseURL, id string) ([]tracing.Span, error) {
-	resp, err := http.Get(baseURL + "/v1/jobs/" + id + "/trace")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("trace endpoint replied %s", resp.Status)
-	}
-	var spans []tracing.Span
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ln wire.SpanLine
-		if json.Unmarshal(sc.Bytes(), &ln) != nil || ln.Type != wire.LineSpan {
-			continue
-		}
-		spans = append(spans, wire.SpanOf(ln))
-	}
-	return spans, sc.Err()
 }

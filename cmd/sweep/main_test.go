@@ -2,12 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
+	"harvsim/internal/server"
+	"harvsim/internal/shard"
 	"harvsim/internal/wire"
 )
 
@@ -49,12 +54,12 @@ func summaryLine(jobs, failed int) string {
 	return string(b) + "\n"
 }
 
-// callRemote drives runRemote against srv with a minimal 1-candidate
-// spec shape (the fake server ignores the spec; only the stream
-// contract is under test).
-func callRemote(srv *httptest.Server) (string, error) {
+// callRemote drives runRemote against srv with the default sweep at
+// -sim 1 (the fake server ignores the spec; only the stream contract is
+// under test).
+func callRemote(t *testing.T, srv *httptest.Server) (string, error) {
 	var out strings.Builder
-	err := runRemote(&out, srv.URL, 1, 2.5, 1, 5, nil, 0, 1, bistableOpts{}, false, 5, false)
+	err := runRemote(&out, parse(t, "-remote", srv.URL, "-sim", "1", "-workers", "1", "-top", "5"))
 	return out.String(), err
 }
 
@@ -68,7 +73,7 @@ func TestRunRemoteTruncatedStream(t *testing.T) {
 		fmt.Fprint(w, okResult(1))
 		// Connection closes cleanly here: 2 of 4 results, no summary.
 	})
-	out, err := callRemote(srv)
+	out, err := callRemote(t, srv)
 	if err == nil {
 		t.Fatalf("want error for truncated stream, got nil; output:\n%s", out)
 	}
@@ -92,7 +97,7 @@ func TestRunRemoteMidStreamAbort(t *testing.T) {
 		}
 		panic(http.ErrAbortHandler)
 	})
-	out, err := callRemote(srv)
+	out, err := callRemote(t, srv)
 	if err == nil {
 		t.Fatalf("want error for aborted stream, got nil; output:\n%s", out)
 	}
@@ -110,7 +115,7 @@ func TestRunRemoteMissingResults(t *testing.T) {
 		fmt.Fprint(w, okResult(2))
 		fmt.Fprint(w, summaryLine(3, 0))
 	})
-	_, err := callRemote(srv)
+	_, err := callRemote(t, srv)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("want truncation error, got %v", err)
 	}
@@ -124,7 +129,7 @@ func TestRunRemoteDuplicateIndex(t *testing.T) {
 		fmt.Fprint(w, okResult(0))
 		fmt.Fprint(w, summaryLine(2, 0))
 	})
-	_, err := callRemote(srv)
+	_, err := callRemote(t, srv)
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("want duplicate-index error, got %v", err)
 	}
@@ -143,7 +148,7 @@ func TestRunRemoteServerSideFailure(t *testing.T) {
 		fmt.Fprintf(w, "%s\n", bad)
 		fmt.Fprint(w, summaryLine(2, 1))
 	})
-	out, err := callRemote(srv)
+	out, err := callRemote(t, srv)
 	if err == nil || !strings.Contains(err.Error(), "1 of 2 jobs failed") {
 		t.Fatalf("want failed-jobs error, got %v", err)
 	}
@@ -160,11 +165,107 @@ func TestRunRemoteCompleteStream(t *testing.T) {
 		fmt.Fprint(w, okResult(0))
 		fmt.Fprint(w, summaryLine(2, 0))
 	})
-	out, err := callRemote(srv)
+	out, err := callRemote(t, srv)
 	if err != nil {
 		t.Fatalf("complete stream: %v", err)
 	}
 	if !strings.Contains(out, "completed in") || !strings.Contains(out, "best design") {
 		t.Errorf("report missing expected sections:\n%s", out)
 	}
+}
+
+// parse runs the command's flag parsing over args.
+func parse(t *testing.T, args ...string) options {
+	t.Helper()
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o, err := parseArgs(fs, args)
+	if err != nil {
+		t.Fatalf("parse %q: %v", args, err)
+	}
+	return o
+}
+
+// durations matches a rendered time.Duration with its padding.
+var durations = regexp.MustCompile(`\s*\d+(\.\d+)?(ns|µs|ms|s|m|h)\b`)
+
+// comparable drops the lines that name the mode (local header, server
+// counters, fleet counters) and masks every duration, leaving what all
+// three modes must print identically.
+func comparable(out string) string {
+	var keep []string
+	for _, ln := range strings.Split(out, "\n") {
+		if strings.HasPrefix(ln, "design sweep:") || strings.HasPrefix(ln, "server:") || strings.HasPrefix(ln, "fleet:") {
+			continue
+		}
+		keep = append(keep, durations.ReplaceAllString(ln, " <d>"))
+	}
+	return strings.Join(keep, "\n")
+}
+
+// TestLocalMatchesRemote: one wire spec, three ways to run it. Each
+// flag set runs locally, against an in-process sweep server and against
+// a coordinator over two in-process workers, and all three reports
+// agree line for line once durations and the mode's own header and
+// counter lines are set aside. A spec the wire compiler rejects fails
+// local mode before any job runs, with the message remote mode gets
+// back from the server.
+func TestLocalMatchesRemote(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sim", "0.25"},
+		{"-sim", "0.25", "-noise-seed", "7", "-seeds", "3", "-k3", "0,1e9"},
+		{"-sim", "0.25", "-bistable", "-noise-seed", "7", "-seeds", "2"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			o := parse(t, args...)
+			var local strings.Builder
+			if failed, err := runLocal(&local, o); err != nil || failed != 0 {
+				t.Fatalf("local run: %d failed, err %v", failed, err)
+			}
+			want := comparable(local.String())
+			if !strings.Contains(want, "best design:") {
+				t.Fatalf("local report has no best design:\n%s", local.String())
+			}
+
+			srv := httptest.NewServer(server.New(server.Options{}).Handler())
+			defer srv.Close()
+			var workers []string
+			for i := 0; i < 2; i++ {
+				w := httptest.NewServer(server.New(server.Options{Workers: 1}).Handler())
+				defer w.Close()
+				workers = append(workers, w.URL)
+			}
+			coord := httptest.NewServer(shard.New(shard.Options{Workers: workers}).Handler())
+			defer coord.Close()
+
+			for mode, base := range map[string]string{"server": srv.URL, "coordinator": coord.URL} {
+				o.remote = base
+				var out strings.Builder
+				if err := runRemote(&out, o); err != nil {
+					t.Fatalf("%s run: %v", mode, err)
+				}
+				if got := comparable(out.String()); got != want {
+					t.Errorf("%s report differs from local\n--- local\n%s\n--- %s\n%s", mode, want, mode, got)
+				}
+			}
+		})
+	}
+
+	t.Run("-sim 0", func(t *testing.T) {
+		const msg = `wire: scenario kind "charge" needs duration_s > 0`
+		o := parse(t, "-sim", "0")
+		var out strings.Builder
+		if _, err := runLocal(&out, o); err == nil || err.Error() != msg {
+			t.Errorf("local error %v, want %q", err, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("local mode printed before failing:\n%s", out.String())
+		}
+		srv := httptest.NewServer(server.New(server.Options{}).Handler())
+		defer srv.Close()
+		o.remote = srv.URL
+		if err := runRemote(&out, o); err == nil || !strings.Contains(err.Error(), msg) {
+			t.Errorf("remote error %v, want one carrying %q", err, msg)
+		}
+	})
 }

@@ -1,10 +1,7 @@
 package shard
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -339,42 +336,6 @@ func (c *Coordinator) dispatch(ctx context.Context, run *server.Run, req wire.Sw
 	return summary
 }
 
-// postShard submits one shard sub-sweep to a worker. A connection-level
-// failure returns err; an HTTP rejection returns the worker's envelope.
-func (c *Coordinator) postShard(ctx context.Context, worker string, req wire.SweepRequest) (wire.SweepAccepted, *wire.ErrorDetail, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return wire.SweepAccepted{}, nil, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/v1/sweep", bytes.NewReader(body))
-	if err != nil {
-		return wire.SweepAccepted{}, nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(hreq)
-	if err != nil {
-		return wire.SweepAccepted{}, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		var e wire.Error
-		if json.NewDecoder(resp.Body).Decode(&e) != nil || e.Error.Code == "" {
-			e = wire.Errorf(wire.CodeInternal, true, "worker replied %s", resp.Status)
-		}
-		d := e.Error
-		return wire.SweepAccepted{}, &d, nil
-	}
-	var acc wire.SweepAccepted
-	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-		return wire.SweepAccepted{}, nil, err
-	}
-	return acc, nil, nil
-}
-
-// errTruncated marks a shard stream that ended without its summary line
-// — the worker died or the connection dropped mid-stream.
-var errTruncated = errors.New("shard stream truncated before its summary")
-
 // streamShard consumes one worker job's NDJSON stream from *received
 // onward, recording result lines (exactly-once via sweepState). It
 // bumps *received per result line so a retry resumes with ?from exactly
@@ -382,56 +343,11 @@ var errTruncated = errors.New("shard stream truncated before its summary")
 // summary line arrived — the shard is complete.
 func (c *Coordinator) streamShard(ctx context.Context, st *sweepState, worker string, acc wire.SweepAccepted, received *int) error {
 	url := fmt.Sprintf("%s%s?from=%d", worker, acc.StreamURL, *received)
-	return c.getLines(ctx, url, func(line []byte) (bool, error) {
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return false, fmt.Errorf("bad stream line: %w", err)
-		}
-		switch probe.Type {
-		case wire.LineResult:
-			var r wire.Result
-			if err := json.Unmarshal(line, &r); err != nil {
-				return false, fmt.Errorf("bad result line: %w", err)
-			}
-			*received++
-			st.record(r)
-		case wire.LineSummary:
-			return true, nil
-		}
-		return false, nil
+	_, err := wire.ReadStream(ctx, c.client, url, func(r wire.Result) {
+		*received++
+		st.record(r)
 	})
-}
-
-// getLines GETs an NDJSON stream from a worker and hands each line to
-// fn until fn reports done (nil) or fails (its error). A stream that
-// ends first returns errTruncated.
-func (c *Coordinator) getLines(ctx context.Context, url string, fn func(line []byte) (done bool, err error)) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("stream: worker replied %s", resp.Status)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		if done, err := fn(sc.Bytes()); done || err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return errTruncated
+	return err
 }
 
 // runShard drives one worker's shard to completion: submit, stream,
@@ -459,19 +375,18 @@ func (c *Coordinator) runShard(ctx context.Context, st *sweepState, worker strin
 		Trace:      rec.Trace(),
 		Span:       shardSpan.ID(),
 	}
-	acc, envErr, err := c.postShard(ctx, worker, req)
-	if err != nil {
-		c.loseWorker(ctx, st, worker, indices, err)
-		return
-	}
-	if envErr != nil {
-		if envErr.Retryable {
-			c.loseWorker(ctx, st, worker, indices, fmt.Errorf("%s: %s", envErr.Code, envErr.Message))
-			return
-		}
+	acc, err := wire.Submit(ctx, c.client, worker, req)
+	var refused *wire.ErrorDetail
+	if errors.As(err, &refused) && !refused.Retryable {
 		// The request itself was refused (bad spec, over budget): every
 		// worker would refuse it the same way, so re-sharding only loops.
-		st.fail(indices, "worker %s refused shard: %s: %s", worker, envErr.Code, envErr.Message)
+		st.fail(indices, "worker %s refused shard: %v", worker, refused)
+		return
+	}
+	if err != nil {
+		// A retryable envelope, any other status or a transport error:
+		// the worker is lost and its jobs move to the survivors.
+		c.loseWorker(ctx, st, worker, indices, err)
 		return
 	}
 	received := 0
@@ -480,7 +395,10 @@ func (c *Coordinator) runShard(ctx context.Context, st *sweepState, worker strin
 		if err == nil {
 			c.metrics.shardSeconds.With(worker).Observe(time.Since(start).Seconds())
 			if rec != nil {
-				c.importShardTrace(ctx, rec, worker, acc.ID)
+				// The worker seals its recorder right after its summary
+				// line, so this replay ends promptly. A failed import is
+				// dropped: it must never fail the shard it observed.
+				_ = wire.ReadTrace(ctx, c.client, worker, acc.ID, rec.Import)
 			}
 			return
 		}
@@ -499,21 +417,6 @@ func (c *Coordinator) runShard(ctx context.Context, st *sweepState, worker strin
 		c.loseWorker(ctx, st, worker, indices, err)
 		return
 	}
-}
-
-// importShardTrace replays a completed shard's span stream off the
-// worker and merges it into the sweep's recorder. The worker seals its
-// recorder right after its summary line, so this replay terminates
-// promptly; failures are silently dropped — a lost trace fetch must
-// never fail the shard it observed.
-func (c *Coordinator) importShardTrace(ctx context.Context, rec *tracing.Recorder, worker, id string) {
-	c.getLines(ctx, worker+"/v1/jobs/"+id+"/trace", func(line []byte) (bool, error) {
-		var ln wire.SpanLine
-		if json.Unmarshal(line, &ln) == nil && ln.Type == wire.LineSpan {
-			rec.Import(wire.SpanOf(ln))
-		}
-		return false, nil
-	})
 }
 
 // loseWorker declares a worker dead: removes it from the ring and
