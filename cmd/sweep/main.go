@@ -307,11 +307,12 @@ func runLocal(w io.Writer, o options) (int, error) {
 }
 
 // renderTrace prints a completed trace: the sweep-level phases first
-// (root, expand, queue/exec or per-worker shards), then a per-phase
-// waterfall of the slowest jobs — each phase bar positioned and scaled
-// inside its job's wall-clock window, so "slow because cache-miss
-// march" and "slow because factorisation churn" read directly off the
-// terminal.
+// (root, expand, queue/exec or per-worker shards), depth-first from the
+// root with each parent above its children and siblings in start order,
+// then a per-phase waterfall of the slowest jobs — each phase bar
+// positioned and scaled inside its job's wall-clock window, so "slow
+// because cache-miss march" and "slow because factorisation churn" read
+// directly off the terminal.
 func renderTrace(w io.Writer, spans []tracing.Span, top int) {
 	if len(spans) == 0 {
 		fmt.Fprintln(w, "\ntrace: no spans recorded")
@@ -323,29 +324,34 @@ func renderTrace(w io.Writer, spans []tracing.Span, top int) {
 		byID[s.ID] = s
 		children[s.Parent] = append(children[s.Parent], s)
 	}
-	depth := func(s tracing.Span) int {
-		d := 0
-		for {
-			p, ok := byID[s.Parent]
-			if !ok || d >= 8 {
-				return d
-			}
-			d++
-			s = p
-		}
-	}
 
 	fmt.Fprintf(w, "\ntrace %s (%d spans)\n", spans[0].Trace, len(spans))
+	// Roots are the spans whose parent is not in the trace (the client's
+	// root has none; a remote caller's may be elsewhere).
+	var roots []tracing.Span
 	for _, s := range spans {
-		if s.Job >= 0 {
-			continue
+		if _, ok := byID[s.Parent]; !ok {
+			roots = append(roots, s)
 		}
-		label := s.Name
-		if s.Worker != "" {
-			label += " " + s.Worker
-		}
-		fmt.Fprintf(w, "  %-52s %12s\n", strings.Repeat("  ", depth(s))+label, s.Dur.Round(time.Microsecond))
 	}
+	var printTree func(level []tracing.Span, depth int)
+	printTree = func(level []tracing.Span, depth int) {
+		sort.SliceStable(level, func(i, j int) bool { return level[i].Start.Before(level[j].Start) })
+		for _, s := range level {
+			if s.Job >= 0 {
+				continue
+			}
+			label := s.Name
+			if s.Worker != "" {
+				label += " " + s.Worker
+			}
+			fmt.Fprintf(w, "  %-52s %12s\n", strings.Repeat("  ", depth)+label, s.Dur.Round(time.Microsecond))
+			if depth < 8 {
+				printTree(children[s.ID], depth+1)
+			}
+		}
+	}
+	printTree(roots, 0)
 
 	var jobs []tracing.Span
 	for _, s := range spans {

@@ -10,9 +10,11 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"harvsim/internal/server"
 	"harvsim/internal/shard"
+	"harvsim/internal/tracing"
 	"harvsim/internal/wire"
 )
 
@@ -268,4 +270,64 @@ func TestLocalMatchesRemote(t *testing.T) {
 			t.Errorf("remote error %v, want one carrying %q", err, msg)
 		}
 	})
+}
+
+// TestRenderTraceParentsFirst feeds renderTrace a coordinator-shaped
+// trace in the order a recorder finishes spans — every child before its
+// parent, the root last — and requires the sweep-level lines depth-first
+// from the root: each parent above its children, siblings by start.
+func TestRenderTraceParentsFirst(t *testing.T) {
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	span := func(id, parent, name, worker string, job, start, dur int) tracing.Span {
+		return tracing.Span{Trace: "t", ID: id, Parent: parent, Name: name, Worker: worker,
+			Job: job, Start: at(start), Dur: time.Duration(dur) * time.Millisecond}
+	}
+	// Finish order: worker 2 started second but finishes first.
+	spans := []tracing.Span{
+		span("e", "r", "expand", "", -1, 1, 1),
+		span("b.e", "b", "expand", "", -1, 4, 1),
+		span("b.q", "b", "queue", "", -1, 5, 1),
+		span("b.j1", "b.x", "job", "", 1, 6, 3),
+		span("b.m1", "b.j1", "march", "", 1, 6, 2),
+		span("b.x", "b", "exec", "", -1, 6, 4),
+		span("b", "s2", "sweep", "", -1, 4, 7),
+		span("s2", "r", "shard", "http://w2", -1, 3, 9),
+		span("a.e", "a", "expand", "", -1, 3, 1),
+		span("a.q", "a", "queue", "", -1, 4, 1),
+		span("a.j0", "a.x", "job", "", 0, 6, 6),
+		span("a.x", "a", "exec", "", -1, 5, 8),
+		span("a", "s1", "sweep", "", -1, 2, 12),
+		span("s1", "r", "shard", "http://w1", -1, 2, 13),
+		span("r", "", "sweep", "", -1, 0, 16),
+	}
+	var out strings.Builder
+	renderTrace(&out, spans, 5)
+	var got []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "slowest") {
+			break
+		}
+		if strings.HasPrefix(line, "  ") && len(line) > 54 {
+			got = append(got, strings.TrimRight(line[2:54], " "))
+		}
+	}
+	want := []string{
+		"sweep",
+		"  expand",
+		"  shard http://w1",
+		"    sweep",
+		"      expand",
+		"      queue",
+		"      exec",
+		"  shard http://w2",
+		"    sweep",
+		"      expand",
+		"      queue",
+		"      exec",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("sweep-level lines:\n%s\nwant:\n%s\nfull output:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"), out.String())
+	}
 }

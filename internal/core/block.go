@@ -87,28 +87,32 @@ type Block interface {
 type Stamp struct {
 	sys *System
 	blk int
+	// exact marks the stamps of System.JacNonlinear, which bypass the
+	// Jacobian change log: the implicit engines never read it, and the
+	// proposed engine's next Begin discards the log anyway.
+	exact bool
 }
 
 // A sets the local state-to-state Jacobian entry (row i, column j).
 func (s Stamp) A(i, j int, v float64) {
 	off := s.sys.xOff[s.blk]
-	s.sys.Jxx.Set(off+i, off+j, v)
+	s.sys.jac.set(qxx, off+i, off+j, v, !s.exact)
 }
 
 // B sets the local state-to-terminal Jacobian entry (row i, terminal k).
 func (s Stamp) B(i, k int, v float64) {
-	s.sys.Jxy.Set(s.sys.xOff[s.blk]+i, s.sys.termMap[s.blk][k], v)
+	s.sys.jac.set(qxy, s.sys.xOff[s.blk]+i, s.sys.termMap[s.blk][k], v, !s.exact)
 }
 
 // C sets the local equation-to-state Jacobian entry (equation e, column j).
 func (s Stamp) C(e, j int, v float64) {
-	s.sys.Jyx.Set(s.sys.eqOff[s.blk]+e, s.sys.xOff[s.blk]+j, v)
+	s.sys.jac.set(qyx, s.sys.eqOff[s.blk]+e, s.sys.xOff[s.blk]+j, v, !s.exact)
 }
 
 // D sets the local equation-to-terminal Jacobian entry (equation e,
 // terminal k).
 func (s Stamp) D(e, k int, v float64) {
-	s.sys.Jyy.Set(s.sys.eqOff[s.blk]+e, s.sys.termMap[s.blk][k], v)
+	s.sys.jac.set(qyy, s.sys.eqOff[s.blk]+e, s.sys.termMap[s.blk][k], v, !s.exact)
 }
 
 // E sets the local state excitation entry (row i).

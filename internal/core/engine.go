@@ -121,7 +121,6 @@ type Engine struct {
 	red           *la.Matrix // reduced state matrix Jxx - Jxy*inv(Jyy)*Jyx
 	bal           *la.Matrix // balanced copy of red for stability analysis
 	kMat          *la.Matrix // inv(Jyy)*Jyx
-	jPrev         [4]*la.Matrix
 	hist          *ode.History
 	times         []float64
 	coefP, coefL  []float64
@@ -199,7 +198,6 @@ func (e *Engine) ensureWorkspace() error {
 	e.xNext, e.xLow, e.errv = ws.xNext, ws.xLow, ws.errv
 	e.luYY = ws.luYY
 	e.red, e.bal, e.kMat = ws.red, ws.bal, ws.kM
-	e.jPrev = ws.jPrev
 	e.hist = ws.hist
 	e.times, e.coefP, e.coefL = ws.times, ws.coefP, ws.coefL
 	e.dScale = ws.dScale
@@ -213,7 +211,9 @@ func (e *Engine) Workspace() *Workspace { return e.ws }
 // refresh refactors Jyy (needed for the next elimination solve) and, when
 // the Jacobian moved materially since the last stability analysis,
 // recomputes the reduced state matrix and its stability cap. Returns the
-// relative Jacobian change for the LLE monitor.
+// relative Jacobian change for the LLE monitor: the largest relative
+// change of any entry since the previous refresh (paper Eq. 3), read
+// from the stamps' change log, so it costs the entries that changed.
 //
 // Splitting the cheap refactorisation (every PWL segment change) from
 // the stability analysis (only on material drift, with a safety margin
@@ -231,13 +231,10 @@ func (e *Engine) refresh(first bool) (relChange float64, err error) {
 	if e.Phases != nil {
 		e.Phases.Refactor += time.Since(phaseStart)
 	}
-	if !first {
-		relChange = e.jacChange()
+	// A first refresh only empties the log.
+	if drift := s.jac.drift(); !first {
+		relChange = drift
 	}
-	e.jPrev[0].CopyFrom(s.Jxx)
-	e.jPrev[1].CopyFrom(s.Jxy)
-	e.jPrev[2].CopyFrom(s.Jyx)
-	e.jPrev[3].CopyFrom(s.Jyy)
 	e.Stats.Refreshes++
 	if relChange > e.Stats.MaxJacChange {
 		e.Stats.MaxJacChange = relChange
@@ -281,7 +278,7 @@ func (e *Engine) refreshStability() error {
 // setting red, dScale/scaleAge, hRealFE and rhoOsc.
 func (e *Engine) computeStability() error {
 	s := e.Sys
-	// K = inv(Jyy) * Jyx, column by column.
+	// K = inv(Jyy) * Jyx, all columns in one pass.
 	if err := e.luYY.SolveMatrix(e.kMat, s.Jyx); err != nil {
 		return err
 	}
@@ -330,28 +327,6 @@ func (e *Engine) computeStability() error {
 	e.hRealFE = hReal
 	e.rhoOsc = rhoOsc
 	return nil
-}
-
-// jacChange returns the largest relative change of any Jacobian entry
-// since the previous refresh — the paper's monitor for the local
-// linearisation error (Eq. 3).
-func (e *Engine) jacChange() float64 {
-	var worst float64
-	cur := [4]*la.Matrix{e.Sys.Jxx, e.Sys.Jxy, e.Sys.Jyx, e.Sys.Jyy}
-	for m := range cur {
-		c, p := cur[m].Data, e.jPrev[m].Data
-		for i := range c {
-			d := math.Abs(c[i] - p[i])
-			if d == 0 {
-				continue
-			}
-			r := d / (1 + math.Abs(p[i]))
-			if r > worst {
-				worst = r
-			}
-		}
-	}
-	return worst
 }
 
 // solveY eliminates the non-state variables at the current point:

@@ -24,7 +24,10 @@ type System struct {
 	nx, ny int
 	built  bool
 
-	// Global linearisation storage (paper Eq. 2), stamped by blocks.
+	// Global linearisation storage (paper Eq. 2), stamped by blocks. The
+	// four Jacobian blocks are views of jac, which also logs the entries
+	// the stamps change between linearisation refreshes.
+	jac *jacobian
 	Jxx *la.Matrix // N x N
 	Jxy *la.Matrix // N x M
 	Jyx *la.Matrix // M x N
@@ -106,22 +109,17 @@ func (s *System) Build() error {
 		// Recycled storage: zero it — blocks stamp only their own
 		// entries and rely on untouched entries being zero.
 		s.ws = s.pool.Get(nx, s.ny)
-		s.Jxx, s.Jxy, s.Jyx, s.Jyy = s.ws.jxx, s.ws.jxy, s.ws.jyx, s.ws.jyy
+		s.jac = s.ws.jac
+		s.jac.reset()
 		s.Ex, s.Ey = s.ws.ex, s.ws.ey
-		s.Jxx.Zero()
-		s.Jxy.Zero()
-		s.Jyx.Zero()
-		s.Jyy.Zero()
 		la.ZeroVec(s.Ex)
 		la.ZeroVec(s.Ey)
 	} else {
-		s.Jxx = la.NewMatrix(nx, nx)
-		s.Jxy = la.NewMatrix(nx, s.ny)
-		s.Jyx = la.NewMatrix(s.ny, nx)
-		s.Jyy = la.NewMatrix(s.ny, s.ny)
+		s.jac = newJacobian(nx, s.ny)
 		s.Ex = make([]float64, nx)
 		s.Ey = make([]float64, s.ny)
 	}
+	s.Jxx, s.Jxy, s.Jyx, s.Jyy = s.jac.m[qxx], s.jac.m[qxy], s.jac.m[qyx], s.jac.m[qyy]
 	s.built = true
 	s.dirty = true
 	return nil
@@ -153,6 +151,7 @@ func (s *System) Release() {
 		s.pool.Put(s.ws)
 	}
 	s.ws = nil
+	s.jac = nil
 	s.Jxx, s.Jxy, s.Jyx, s.Jyy = nil, nil, nil, nil
 	s.Ex, s.Ey = nil, nil
 }
@@ -304,7 +303,7 @@ func (s *System) JacNonlinear(t float64, x, y []float64) {
 	for i, b := range s.blocks {
 		xl := x[s.xOff[i] : s.xOff[i]+b.NumStates()]
 		yl := s.gatherLocalY(i, y)
-		b.JacNonlinear(t, xl, yl, Stamp{sys: s, blk: i})
+		b.JacNonlinear(t, xl, yl, Stamp{sys: s, blk: i, exact: true})
 	}
 	s.dirty = true // PWL engines must re-stamp afterwards
 }

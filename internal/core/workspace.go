@@ -24,9 +24,10 @@ type Workspace struct {
 	nx, ny int
 
 	// System linearisation storage (bound by System.Build when the
-	// system was given a pool).
-	jxx, jxy, jyx, jyy *la.Matrix
-	ex, ey             []float64
+	// system was given a pool): the Jacobian with its change log, and
+	// the excitations.
+	jac    *jacobian
+	ex, ey []float64
 
 	// owner is the engine whose march scratch this workspace backs.
 	// Only one engine may bind a workspace: a second engine on the same
@@ -40,7 +41,6 @@ type Workspace struct {
 	errv          []float64
 	luYY          *la.LU
 	red, bal, kM  *la.Matrix
-	jPrev         [4]*la.Matrix
 	hist          *ode.History
 	times         []float64
 	coefP, coefL  []float64
@@ -56,28 +56,21 @@ func NewWorkspace(nx, ny int) *Workspace {
 	return &Workspace{
 		nx:  nx,
 		ny:  ny,
-		jxx: la.NewMatrix(nx, nx),
-		jxy: la.NewMatrix(nx, ny),
-		jyx: la.NewMatrix(ny, nx),
-		jyy: la.NewMatrix(ny, ny),
+		jac: newJacobian(nx, ny),
 		ex:  make([]float64, nx),
 		ey:  make([]float64, ny),
 
-		x:     make([]float64, nx),
-		y:     make([]float64, ny),
-		yRHS:  make([]float64, ny),
-		f:     make([]float64, nx),
-		xNext: make([]float64, nx),
-		xLow:  make([]float64, nx),
-		errv:  make([]float64, nx),
-		luYY:  la.NewLU(ny),
-		red:   la.NewMatrix(nx, nx),
-		bal:   la.NewMatrix(nx, nx),
-		kM:    la.NewMatrix(ny, nx),
-		jPrev: [4]*la.Matrix{
-			la.NewMatrix(nx, nx), la.NewMatrix(nx, ny),
-			la.NewMatrix(ny, nx), la.NewMatrix(ny, ny),
-		},
+		x:      make([]float64, nx),
+		y:      make([]float64, ny),
+		yRHS:   make([]float64, ny),
+		f:      make([]float64, nx),
+		xNext:  make([]float64, nx),
+		xLow:   make([]float64, nx),
+		errv:   make([]float64, nx),
+		luYY:   la.NewLU(ny),
+		red:    la.NewMatrix(nx, nx),
+		bal:    la.NewMatrix(nx, nx),
+		kM:     la.NewMatrix(ny, nx),
 		hist:   ode.NewHistory(nx, ode.MaxABOrder),
 		times:  make([]float64, ode.MaxABOrder),
 		coefP:  make([]float64, ode.MaxABOrder),

@@ -19,7 +19,9 @@ import (
 
 // EngineRun summarises one engine execution.
 type EngineRun struct {
-	Label    string
+	Label string
+	// CPUTime is the process CPU time the run took (cpuNow: getrusage
+	// where the platform has it, wall-clock time elsewhere).
 	CPUTime  time.Duration
 	Steps    int
 	SimTime  float64
@@ -49,8 +51,8 @@ func (r EngineRun) ExtrapolateTo(simTime float64) time.Duration {
 	return time.Duration(float64(r.CPUTime) * simTime / r.SimTime)
 }
 
-// runTimed executes a scenario under one engine and captures timing plus
-// the unified per-run counters (steps, refactorisations, solves, and —
+// runTimed executes a scenario under one engine and captures its CPU
+// time plus the unified per-run counters (steps, refactorisations, solves, and —
 // for the proposed engine, which runs serially here — heap allocations).
 func runTimed(label string, sc harvester.Scenario, kind harvester.EngineKind, decimate int) (EngineRun, *harvester.Harvester, error) {
 	h := harvester.New(sc.Cfg)
@@ -61,9 +63,9 @@ func runTimed(label string, sc harvester.Scenario, kind harvester.EngineKind, de
 	if ce, ok := eng.(*core.Engine); ok {
 		ce.MeasureAllocs = true
 	}
-	start := time.Now()
+	c0 := cpuNow()
 	err := h.RunEngine(eng, sc.Duration)
-	elapsed := time.Since(start)
+	elapsed := cpuNow() - c0
 	if err != nil {
 		return EngineRun{}, nil, fmt.Errorf("exp: %s failed: %w", label, err)
 	}

@@ -92,13 +92,13 @@ func runTable1MNA(simDuration float64) (EngineRun, error) {
 	h := circuit.BuildHarvester(p)
 	tr := circuit.NewTransient(h.Net)
 	tr.HMax = 2.5e-4
-	start := time.Now()
+	c0 := cpuNow()
 	if err := tr.Run(0, simDuration); err != nil {
 		return EngineRun{}, fmt.Errorf("exp: MNA run failed: %w", err)
 	}
 	return EngineRun{
 		Label:    "OrCAD (PSPICE)",
-		CPUTime:  time.Since(start),
+		CPUTime:  cpuNow() - c0,
 		Steps:    tr.Stats.Steps,
 		SimTime:  simDuration,
 		HMeanSec: tr.Stats.HMean,

@@ -163,3 +163,46 @@ func TestPooledAssembleBitIdentical(t *testing.T) {
 	sameState(t, "final", engF.State(), engP.State())
 	second.Release()
 }
+
+// TestProposedAfterImplicitBitIdentical pins the restart of the
+// Jacobian change log across engines: an implicit run restamps the
+// system's Jacobian through JacNonlinear, whose stamps bypass the log,
+// and a proposed run after Reset+Schedule must still reproduce a fresh
+// proposed run bit for bit — waveform, final state and every Stats
+// field, MaxJacChange included.
+func TestProposedAfterImplicitBitIdentical(t *testing.T) {
+	sc := ChargeScenario(0.5)
+	sc.Cfg.InitialVc = 2.5
+
+	fresh, err := Assemble(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engF, err := fresh.Run(Proposed, sc.Duration, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reused, err := Assemble(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reused.Run(ExistingTrap, sc.Duration, 1); err != nil {
+		t.Fatal(err)
+	}
+	reused.Reset()
+	if err := reused.Schedule(sc); err != nil {
+		t.Fatal(err)
+	}
+	engR, err := reused.Run(Proposed, sc.Duration, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sameSeries(t, "Vc", fresh.VcTrace, reused.VcTrace)
+	sameState(t, "final", engF.State(), engR.State())
+	sf, sr := engF.(*core.Engine).Stats, engR.(*core.Engine).Stats
+	if sf != sr {
+		t.Fatalf("stats differ:\nfresh  %+v\nreused %+v", sf, sr)
+	}
+}

@@ -22,8 +22,7 @@ type LU struct {
 	sign int     // +1 or -1: parity of the permutation
 	ok   bool
 
-	tmp      []float64 // aliased-Solve permutation scratch
-	col, sol []float64 // SolveMatrix column scratch
+	tmp []float64 // aliased-solve permutation scratch
 }
 
 // NewLU returns an LU workspace for n x n systems.
@@ -33,8 +32,6 @@ func NewLU(n int) *LU {
 		lu:  NewMatrix(n, n),
 		piv: make([]int, n),
 		tmp: make([]float64, n),
-		col: make([]float64, n),
-		sol: make([]float64, n),
 	}
 }
 
@@ -137,20 +134,64 @@ func (f *LU) Solve(x, b []float64) error {
 	return nil
 }
 
-// SolveMatrix solves A*X = B column by column. X must be n x B.Cols.
+// SolveMatrix solves A*X = B for every column of B in one row-oriented
+// pass. X must be n x B.Cols; X and B may alias. Each column gets
+// exactly Solve's operations in Solve's order — the row permutation,
+// unit-L forward substitution and U back substitution with every inner
+// sum in ascending j, then the division by the pivot — so column c of X
+// is bit for bit the Solve of column c of B.
 func (f *LU) SolveMatrix(x, b *Matrix) error {
 	if b.Rows != f.n || x.Rows != f.n || x.Cols != b.Cols {
 		panic("la: LU.SolveMatrix size mismatch")
 	}
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < f.n; i++ {
-			f.col[i] = b.At(i, j)
+	if !f.ok {
+		return errors.New("la: LU.SolveMatrix called before a successful Factor")
+	}
+	n, m := f.n, b.Cols
+	if n == 0 || m == 0 {
+		return nil
+	}
+	lu, xd := f.lu.Data, x.Data
+	// Apply permutation: X = P*B.
+	if &xd[0] == &b.Data[0] {
+		for c := 0; c < m; c++ {
+			for i := 0; i < n; i++ {
+				f.tmp[i] = xd[f.piv[i]*m+c]
+			}
+			for i := 0; i < n; i++ {
+				xd[i*m+c] = f.tmp[i]
+			}
 		}
-		if err := f.Solve(f.sol, f.col); err != nil {
-			return err
+	} else {
+		for i := 0; i < n; i++ {
+			copy(x.Row(i), b.Row(f.piv[i]))
 		}
-		for i := 0; i < f.n; i++ {
-			x.Set(i, j, f.sol[i])
+	}
+	// Forward substitution with unit lower triangle.
+	for i := 1; i < n; i++ {
+		xi := xd[i*m : (i+1)*m]
+		for j := 0; j < i; j++ {
+			l := lu[i*n+j]
+			xj := xd[j*m : (j+1)*m]
+			for c := range xi {
+				xi[c] -= l * xj[c]
+			}
+		}
+	}
+	// Back substitution with upper triangle.
+	for i := n - 1; i >= 0; i-- {
+		row := lu[i*n : (i+1)*n]
+		xi := xd[i*m : (i+1)*m]
+		for j := i + 1; j < n; j++ {
+			u := row[j]
+			xj := xd[j*m : (j+1)*m]
+			for c := range xi {
+				xi[c] -= u * xj[c]
+			}
+		}
+		p := row[i]
+		for c := range xi {
+			xi[c] /= p
 		}
 	}
 	return nil

@@ -194,6 +194,92 @@ func TestSolveMatrix(t *testing.T) {
 	}
 }
 
+// TestSolveMatrixMatchesSolveBits pins the one-pass SolveMatrix to
+// per-column Solve bit for bit, for n = 1..12 and 1..15 right-hand
+// sides: sparse general matrices, an all-zero column, signed zeros and
+// non-finite entries, and X aliasing B.
+func TestSolveMatrixMatchesSolveBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	pivoted := 0
+	col, sol := make([]float64, 12), make([]float64, 12)
+	for n := 1; n <= 12; n++ {
+		// Sparse general matrices: the factorisations pivot, and their
+		// zero multipliers meet the non-finite right-hand sides.
+		a := NewMatrix(n, n)
+		f := NewLU(n)
+		for {
+			for i := range a.Data {
+				a.Data[i] = 0
+				if rng.Intn(3) > 0 {
+					a.Data[i] = rng.NormFloat64()
+				}
+			}
+			if f.Factor(a) == nil {
+				break
+			}
+		}
+		for i, p := range f.piv {
+			if p != i {
+				pivoted++
+				break
+			}
+		}
+		for m := 1; m <= 15; m++ {
+			b := NewMatrix(n, m)
+			for i := range b.Data {
+				b.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+			}
+			for i := 0; i < n; i++ {
+				b.Set(i, 0, 0)
+			}
+			if m > 1 {
+				b.Set(rng.Intn(n), 1, math.Copysign(0, -1))
+			}
+			if m > 2 {
+				b.Set(rng.Intn(n), 2, math.Inf(1-2*rng.Intn(2)))
+			}
+			if m > 3 {
+				b.Set(rng.Intn(n), 3, math.NaN())
+			}
+			want := NewMatrix(n, m)
+			for c := 0; c < m; c++ {
+				for i := 0; i < n; i++ {
+					col[i] = b.At(i, c)
+				}
+				if err := f.Solve(sol[:n], col[:n]); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					want.Set(i, c, sol[i])
+				}
+			}
+			x := NewMatrix(n, m)
+			if err := f.SolveMatrix(x, b); err != nil {
+				t.Fatal(err)
+			}
+			alias := b.Clone()
+			if err := f.SolveMatrix(alias, alias); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Data {
+				w := math.Float64bits(want.Data[i])
+				if g := math.Float64bits(x.Data[i]); g != w {
+					t.Fatalf("n=%d m=%d entry %d: SolveMatrix %x, Solve %x", n, m, i, g, w)
+				}
+				if g := math.Float64bits(alias.Data[i]); g != w {
+					t.Fatalf("n=%d m=%d entry %d: aliased SolveMatrix %x, Solve %x", n, m, i, g, w)
+				}
+			}
+		}
+	}
+	if pivoted == 0 {
+		t.Fatal("no factorisation pivoted: the permutation path went untested")
+	}
+	if err := NewLU(2).SolveMatrix(NewMatrix(2, 1), NewMatrix(2, 1)); err == nil {
+		t.Fatal("SolveMatrix before Factor returned no error")
+	}
+}
+
 func TestRcondEstimate(t *testing.T) {
 	wellCond := Identity(4)
 	f := NewLU(4)
