@@ -90,7 +90,7 @@ func main() {
 			report.Benchmarks = append(report.Benchmarks, benchfmt.Benchmark{
 				Name:    prefix + "/" + row.Engine.String(),
 				Runs:    1,
-				NsPerOp: float64(row.CPUTime.Nanoseconds()),
+				NsPerOp: float64(row.Wall.Nanoseconds()),
 				Metrics: map[string]float64{
 					"steps":      float64(row.Steps),
 					"hmax_s":     row.HMax,

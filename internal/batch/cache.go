@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -35,7 +36,7 @@ var cacheSchema = fmt.Sprintf("harvsim-result-cache/v%d", CacheSchemaVersion)
 // that affect its Result: a collision-safe SHA-256 over the canonical
 // encoding of (schema version, Config, scenario schedule, engine kind,
 // trace decimation, settle fraction, metric key). See
-// harvester.Scenario.WriteHash for the encoding contract.
+// harvester.Scenario.AppendHash for the encoding contract.
 type CacheKey [sha256.Size]byte
 
 // String renders the key as lowercase hex (also the on-disk file stem).
@@ -80,11 +81,15 @@ func Keys(jobs []Job, opt Options) []string {
 // determinism suite pins); labels — Job.Name, Job.Group, Job.Seed,
 // Scenario.Name — are excluded, so identically configured jobs share an
 // entry regardless of how a sweep named them.
+//
+// The key hashes one buffer: the schema line, the scenario's canonical
+// encoding, then the engine/decimation/settle/metric tail. The buffer
+// starts on the stack, so a key costs at most one allocation (when an
+// encoding outgrows it). TestKeyOfGolden pins the bytes.
 func KeyOf(job Job, opt Options) CacheKey {
-	h := sha256.New()
-	hw := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
-	hw("%s\n", cacheSchema)
-	job.Scenario.WriteHash(h)
+	var stack [keyBufSize]byte
+	b := append(append(stack[:0], cacheSchema...), '\n')
+	b = job.Scenario.AppendHash(b)
 	dec := job.Decimate
 	if dec == 0 {
 		dec = DefaultDecimate
@@ -95,12 +100,21 @@ func KeyOf(job Job, opt Options) CacheKey {
 	if job.Metric == nil {
 		mk = ""
 	}
-	hw("engine=%d dec=%d settle=%x metric=%d:%s",
-		int64(job.Engine), dec, opt.settleFrac(), len(mk), mk)
-	var k CacheKey
-	h.Sum(k[:0])
-	return k
+	// The tail must read as "engine=%d dec=%d settle=%x metric=%d:%s",
+	// the format stored keys were made with: strconv's 'x' format with
+	// precision -1 prints fmt's %x for a float64, NaN and the infinities
+	// included (TestKeyTailFloatFormat).
+	b = strconv.AppendInt(append(b, "engine="...), int64(job.Engine), 10)
+	b = strconv.AppendInt(append(b, " dec="...), int64(dec), 10)
+	b = strconv.AppendFloat(append(b, " settle="...), opt.settleFrac(), 'x', -1, 64)
+	b = strconv.AppendInt(append(b, " metric="...), int64(len(mk)), 10)
+	b = append(append(b, ':'), mk...)
+	return sha256.Sum256(b)
 }
+
+// keyBufSize holds a default Config's encoding (about 1.5 KB) with room
+// for the schedule and tail, so KeyOf's buffer stays on the stack.
+const keyBufSize = 4096
 
 // Snapshot is the value-typed slice of a Result a cache stores: every
 // field that is a pure function of the job identity. Elapsed records the

@@ -18,10 +18,13 @@ type ConformanceRow struct {
 	FinalVc  float64
 	RMSPower float64
 	Steps    int
-	CPUTime  time.Duration
-	DVc      float64 // |FinalVc - reference|
-	DPowRel  float64 // |RMSPower - reference| / reference
-	Err      error
+	// Wall is the batch job's wall-clock time. The engines run
+	// concurrently, so it includes contention, and process CPU time
+	// cannot be split between the jobs.
+	Wall    time.Duration
+	DVc     float64 // |FinalVc - reference|
+	DPowRel float64 // |RMSPower - reference| / reference
+	Err     error
 }
 
 // ConformanceResult is the cross-engine agreement table for one
@@ -36,7 +39,7 @@ type ConformanceResult struct {
 // String renders the agreement table.
 func (r ConformanceResult) String() string {
 	var w tableWriter
-	w.add("Engine", "hmax [s]", "final Vc [V]", "RMS Pin [uW]", "dVc [V]", "dP rel", "Steps", "CPU")
+	w.add("Engine", "hmax [s]", "final Vc [V]", "RMS Pin [uW]", "dVc [V]", "dP rel", "Steps", "Wall")
 	for _, row := range r.Rows {
 		if row.Err != nil {
 			w.add(row.Engine.String(), fmt.Sprintf("%.3g", row.HMax), "ERROR: "+row.Err.Error())
@@ -49,7 +52,7 @@ func (r ConformanceResult) String() string {
 			fmt.Sprintf("%.2g", row.DVc),
 			fmt.Sprintf("%.3f", row.DPowRel),
 			fmt.Sprintf("%d", row.Steps),
-			FormatDuration(row.CPUTime))
+			FormatDuration(row.Wall))
 	}
 	return r.Title + "\n" + w.String()
 }
@@ -99,7 +102,7 @@ func CrossEngine(title string, sc harvester.Scenario, workers int) (ConformanceR
 			FinalVc:  r.FinalVc,
 			RMSPower: r.RMSPower,
 			Steps:    r.Stats.Steps,
-			CPUTime:  r.Elapsed,
+			Wall:     r.Elapsed,
 			Err:      r.Err,
 		}
 		if r.Err == nil {

@@ -15,7 +15,7 @@
 // recycled workspace, serially or inside the concurrent batch pool.
 // Stochastic excitation keeps the contract because a noise realisation
 // is a pure function of its spec (see blocks.NoiseSpec). The root
-// determinism test suite pins all of this; Scenario.WriteHash turns the
+// determinism test suite pins all of this; Scenario.AppendHash turns the
 // identity into the canonical content hash the batch layer's result
 // cache is keyed on.
 package harvester

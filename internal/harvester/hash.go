@@ -3,9 +3,9 @@ package harvester
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"reflect"
+	"sync"
 
 	"harvsim/internal/pwl"
 )
@@ -31,8 +31,8 @@ import (
 //     distinct).
 //
 // Unexported fields are skipped: a Config's identity is its exported
-// surface (derived caches such as the diode's PWL table are rebuilt
-// deterministically from it). The one pointer type Config carries,
+// surface (derived data such as the diode's PWL table is a deterministic
+// function of it). The one pointer type Config carries,
 // *pwl.Diode, is special-cased so the derived table's granularity — set
 // at construction, not stored in an exported field — still enters the
 // hash. Kinds with no canonical encoding (func, map, chan, interface)
@@ -56,127 +56,128 @@ const (
 
 var diodeType = reflect.TypeOf((*pwl.Diode)(nil))
 
-// hasher streams the canonical encoding into w (in practice a
-// hash.Hash, which never returns a write error).
-type hasher struct {
-	w   io.Writer
-	buf [8]byte
+// structPlan is the constant part of a struct type's encoding, built
+// once per type: the struct tag and type name, then each exported
+// field's index and length-prefixed name.
+type structPlan struct {
+	head   []byte
+	fields []fieldPlan
 }
 
-func (h *hasher) tag(t byte) {
-	h.buf[0] = t
-	h.w.Write(h.buf[:1])
+type fieldPlan struct {
+	index int
+	name  []byte
 }
 
-func (h *hasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(h.buf[:], v)
-	h.w.Write(h.buf[:8])
+// plans caches one structPlan per struct type. It is bounded by the
+// struct types reachable from a Scenario, a set fixed by the code.
+var plans sync.Map // reflect.Type -> *structPlan
+
+func planOf(t reflect.Type) *structPlan {
+	if p, ok := plans.Load(t); ok {
+		return p.(*structPlan)
+	}
+	p := &structPlan{head: appendStr([]byte{tagStruct}, t.String())}
+	for i := 0; i < t.NumField(); i++ {
+		if f := t.Field(i); f.IsExported() {
+			p.fields = append(p.fields, fieldPlan{index: i, name: appendStr(nil, f.Name)})
+		}
+	}
+	actual, _ := plans.LoadOrStore(t, p)
+	return actual.(*structPlan)
 }
 
-func (h *hasher) i64(v int64) { h.u64(uint64(v)) }
+func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
-func (h *hasher) f64(v float64) { h.u64(math.Float64bits(v)) }
+func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
 
-func (h *hasher) str(s string) {
-	h.u64(uint64(len(s)))
-	io.WriteString(h.w, s)
-}
+func appendStr(b []byte, s string) []byte { return append(appendU64(b, uint64(len(s))), s...) }
 
-// value walks v, writing its canonical encoding.
-func (h *hasher) value(v reflect.Value) {
+// appendValue appends v's canonical encoding to b.
+func appendValue(b []byte, v reflect.Value) []byte {
 	switch v.Kind() {
 	case reflect.Bool:
-		h.tag(tagBool)
+		var u uint64
 		if v.Bool() {
-			h.u64(1)
-		} else {
-			h.u64(0)
+			u = 1
 		}
+		return appendU64(append(b, tagBool), u)
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		h.tag(tagInt)
-		h.i64(v.Int())
+		return appendU64(append(b, tagInt), uint64(v.Int()))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		h.tag(tagUint)
-		h.u64(v.Uint())
+		return appendU64(append(b, tagUint), v.Uint())
 	case reflect.Float32, reflect.Float64:
-		h.tag(tagFloat)
-		h.f64(v.Float())
+		return appendF64(append(b, tagFloat), v.Float())
 	case reflect.String:
-		h.tag(tagString)
-		h.str(v.String())
+		return appendStr(append(b, tagString), v.String())
 	case reflect.Slice, reflect.Array:
-		h.tag(tagSlice)
-		h.u64(uint64(v.Len()))
+		b = appendU64(append(b, tagSlice), uint64(v.Len()))
 		for i := 0; i < v.Len(); i++ {
-			h.value(v.Index(i))
+			b = appendValue(b, v.Index(i))
 		}
+		return b
 	case reflect.Pointer:
 		if v.Type() == diodeType {
-			h.diode(v.Interface().(*pwl.Diode))
-			return
+			// UnsafePointer, unlike Interface, does not make the walked
+			// scenario escape to the heap; the type check makes the
+			// conversion exact.
+			return appendDiode(b, (*pwl.Diode)(v.UnsafePointer()))
 		}
 		if v.IsNil() {
-			h.tag(tagPtrNil)
-			return
+			return append(b, tagPtrNil)
 		}
-		h.tag(tagPtr)
-		h.value(v.Elem())
+		return appendValue(append(b, tagPtr), v.Elem())
 	case reflect.Struct:
-		h.tag(tagStruct)
-		t := v.Type()
-		h.str(t.String())
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			h.str(f.Name)
-			h.value(v.Field(i))
+		p := planOf(v.Type())
+		b = append(b, p.head...)
+		for _, f := range p.fields {
+			b = appendValue(append(b, f.name...), v.Field(f.index))
 		}
+		return b
 	default:
 		panic(fmt.Sprintf("harvester: no canonical hash encoding for kind %s (%s) — "+
 			"extend hash.go before adding such a field to a cached config", v.Kind(), v.Type()))
 	}
 }
 
-// diode hashes the diode model's physical parameters plus the derived
-// companion table's granularity (which is fixed at BuildTable time and
-// changes the simulated physics, but lives in an unexported field).
-func (h *hasher) diode(d *pwl.Diode) {
-	h.tag(tagDiode)
+// appendDiode encodes the diode model's physical parameters plus the
+// derived companion table's granularity (which is fixed at BuildTable
+// time and changes the simulated physics, but lives in an unexported
+// field).
+func appendDiode(b []byte, d *pwl.Diode) []byte {
+	b = append(b, tagDiode)
 	if d == nil {
-		h.u64(0)
-		return
+		return appendU64(b, 0)
 	}
-	h.u64(1)
-	h.f64(d.Is)
-	h.f64(d.NVt)
-	h.f64(d.Rs)
+	b = appendU64(b, 1)
+	b = appendF64(b, d.Is)
+	b = appendF64(b, d.NVt)
+	b = appendF64(b, d.Rs)
 	segs := 0
 	if t := d.Table(); t != nil {
 		segs = t.NumSegments()
 	}
-	h.i64(int64(segs))
+	return appendU64(b, uint64(segs))
 }
 
-// WriteHash writes the canonical, collision-safe encoding of the
-// scenario's physics identity into w — everything that determines the
-// simulated trajectory: the full Config (all exported fields,
-// recursively, floats bit-exact), the horizon, the scheduled frequency
-// shifts and the chirp. The scenario Name is deliberately excluded: it
-// labels results, it does not change physics, so two identically
-// configured jobs with different names share one cache entry.
+// AppendHash appends the canonical, collision-safe encoding of the
+// scenario's physics identity to b and returns the extended buffer —
+// everything that determines the simulated trajectory: the full Config
+// (all exported fields, recursively, floats bit-exact), the horizon,
+// the scheduled frequency shifts and the chirp. The scenario Name is
+// deliberately excluded: it labels results, it does not change physics,
+// so two identically configured jobs with different names share one
+// cache entry. The caller hashes the bytes; the batch layer's cache key
+// hashes them once, together with its own prefix and suffix.
 //
 // The determinism contract this leans on: a run is a pure function of
 // its (Config, Scenario schedule, engine, solver) tuple — equal inputs
 // produce bit-identical trajectories across serial, pooled and
 // workspace-reused executions (pinned by the root determinism suite).
-func (sc Scenario) WriteHash(w io.Writer) {
-	h := &hasher{w: w}
-	h.str("harvsim/scenario")
-	h.value(reflect.ValueOf(sc.Cfg))
-	h.tag(tagFloat)
-	h.f64(sc.Duration)
-	h.value(reflect.ValueOf(sc.Shifts))
-	h.value(reflect.ValueOf(sc.Chirp))
+func (sc *Scenario) AppendHash(b []byte) []byte {
+	b = appendStr(b, "harvsim/scenario")
+	b = appendValue(b, reflect.ValueOf(&sc.Cfg).Elem())
+	b = appendF64(append(b, tagFloat), sc.Duration)
+	b = appendValue(b, reflect.ValueOf(&sc.Shifts).Elem())
+	return appendValue(b, reflect.ValueOf(sc.Chirp))
 }

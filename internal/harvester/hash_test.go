@@ -9,13 +9,9 @@ import (
 	"harvsim/internal/blocks"
 )
 
-// scenarioHash reduces WriteHash output to a comparable digest.
+// scenarioHash reduces AppendHash output to a comparable digest.
 func scenarioHash(sc Scenario) [sha256.Size]byte {
-	h := sha256.New()
-	sc.WriteHash(h)
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(sc.AppendHash(nil))
 }
 
 // hashBase builds a fresh, fully populated scenario for hashing tests

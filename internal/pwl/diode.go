@@ -1,6 +1,9 @@
 package pwl
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Diode is the piecewise-linear companion model of a junction diode used
 // by the Dickson voltage multiplier block (paper Fig. 5(b)). The
@@ -67,17 +70,40 @@ func (d *Diode) Conductance(vd float64) float64 {
 	return gj / (1 + gj*d.Rs)
 }
 
+// tableKey is everything a diode's companion table depends on: the
+// bit patterns of the parameters Current reads, and the segment count.
+type tableKey struct {
+	is, nvt, rs uint64
+	segments    int
+}
+
+// tables holds one companion table per tableKey, shared by every diode
+// whose parameters are bit-equal: a Table is never written after Build,
+// so sharing one cannot move a result bit. The store needs no bound
+// because no request input reaches a diode's parameters or granularity:
+// its keys come only from code (the multiplier's default 1024-segment
+// table, tests and the granularity ablation's 16 to 16384 segments).
+var tables sync.Map // tableKey -> *Table
+
 // BuildTable (re)builds the PWL companion table with the given number of
 // segments over a voltage window wide enough for the multiplier stages.
+// Diodes with bit-equal parameters share one table, built on first use.
 func (d *Diode) BuildTable(segments int) {
 	if segments < 2 {
 		segments = 2
 	}
+	key := tableKey{math.Float64bits(d.Is), math.Float64bits(d.NVt), math.Float64bits(d.Rs), segments}
+	if t, ok := tables.Load(key); ok {
+		d.table = t.(*Table)
+		return
+	}
 	// The window covers deep reverse bias (stage stacking) through strong
 	// forward conduction. Outside the window the table extrapolates with
 	// the edge slopes, which for the high edge is the Rs-limited ~1/Rs
-	// slope — exactly the physical behaviour.
-	d.table = MustBuild(d.Current, -15.0, 1.5, segments)
+	// slope — exactly the physical behaviour. Builders racing on one key
+	// all end up holding the table that was stored first.
+	t, _ := tables.LoadOrStore(key, MustBuild(d.Current, -15.0, 1.5, segments))
+	d.table = t.(*Table)
 }
 
 // Table exposes the underlying companion table.

@@ -2,6 +2,9 @@ package pwl
 
 import (
 	"math"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -132,5 +135,70 @@ func TestBuildTableMinimumSegments(t *testing.T) {
 	d.BuildTable(0)
 	if d.Table().NumSegments() < 2 {
 		t.Fatalf("BuildTable should clamp to >= 2 segments")
+	}
+}
+
+// TestBuildTableShared: diodes whose parameters are bit-equal share one
+// table, and that table is exactly what a fresh Build produces; a
+// different Is, Rs or segment count gets a table of its own.
+func TestBuildTableShared(t *testing.T) {
+	a, b := DefaultDiode(1024), DefaultDiode(1024)
+	if a.Table() != b.Table() {
+		t.Fatal("bit-equal diodes hold different tables")
+	}
+	fresh := MustBuild(a.Current, -15.0, 1.5, 1024)
+	if !reflect.DeepEqual(a.Table(), fresh) {
+		t.Fatal("shared table differs from a fresh Build")
+	}
+	for i, s := range a.Table().segs {
+		f := fresh.segs[i]
+		if math.Float64bits(s.G) != math.Float64bits(f.G) || math.Float64bits(s.J) != math.Float64bits(f.J) ||
+			math.Float64bits(s.V0) != math.Float64bits(f.V0) || math.Float64bits(s.V1) != math.Float64bits(f.V1) {
+			t.Fatalf("segment %d: shared %+v, fresh %+v", i, s, f)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		d    Diode
+		segs int
+	}{
+		{"Is", Diode{Is: math.Nextafter(a.Is, 1), NVt: a.NVt, Rs: a.Rs}, 1024},
+		{"Rs", Diode{Is: a.Is, NVt: a.NVt, Rs: 26}, 1024},
+		{"segments", Diode{Is: a.Is, NVt: a.NVt, Rs: a.Rs}, 512},
+	} {
+		tc.d.BuildTable(tc.segs)
+		if tc.d.Table() == a.Table() {
+			t.Errorf("a different %s shares the default table", tc.name)
+		}
+	}
+}
+
+// concurrentRuns gives each run of TestBuildTableConcurrent (under
+// -count) a key that no earlier run stored.
+var concurrentRuns atomic.Int64
+
+// TestBuildTableConcurrent: builders racing on a key no one has built
+// yet all end up holding one table (run it under -race).
+func TestBuildTableConcurrent(t *testing.T) {
+	const n = 8
+	is := 3.25e-9 + float64(concurrentRuns.Add(1))*1e-12
+	diodes := make([]*Diode, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range diodes {
+		diodes[i] = &Diode{Is: is, NVt: 31e-3, Rs: 47}
+		wg.Add(1)
+		go func(d *Diode) {
+			defer wg.Done()
+			<-start
+			d.BuildTable(333)
+		}(diodes[i])
+	}
+	close(start)
+	wg.Wait()
+	for i, d := range diodes {
+		if d.Table() != diodes[0].Table() {
+			t.Fatalf("diode %d holds a different table", i)
+		}
 	}
 }

@@ -71,16 +71,19 @@ func ReadStream(ctx context.Context, c *http.Client, url string, onResult func(R
 	var sum Summary
 	done := false
 	err := readLines(ctx, c, url, func(line []byte) (bool, error) {
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
+		// One decode serves both the type probe and a result line. A
+		// summary's int "shared" does not fit Result's bool, so a type
+		// error is only a bad line once the line turns out to be a
+		// result; a summary is decoded again, into Summary.
+		var r Result
+		err := json.Unmarshal(line, &r)
+		var te *json.UnmarshalTypeError
+		if err != nil && (!errors.As(err, &te) || te.Field == "type") {
 			return false, fmt.Errorf("bad stream line %q: %v", line, err)
 		}
-		switch probe.Type {
+		switch r.Type {
 		case LineResult:
-			var r Result
-			if err := json.Unmarshal(line, &r); err != nil {
+			if err != nil {
 				return false, fmt.Errorf("bad result line %q: %v", line, err)
 			}
 			onResult(r)
@@ -89,7 +92,7 @@ func ReadStream(ctx context.Context, c *http.Client, url string, onResult func(R
 			done = true
 			return true, json.Unmarshal(line, &sum)
 		}
-		return false, fmt.Errorf("unknown stream line type %q", probe.Type)
+		return false, fmt.Errorf("unknown stream line type %q", r.Type)
 	})
 	if err == nil && !done {
 		err = ErrTruncated

@@ -31,17 +31,29 @@ func TestReadStream(t *testing.T) {
 	r0 := line(t, Result{Type: LineResult, Index: 0, Name: "a", Metric: 1.5})
 	r1 := line(t, Result{Type: LineResult, Index: 1, Name: "b", Metric: 2.5})
 	sum := line(t, Summary{Type: LineSummary, V: Version, Jobs: 2, Failed: 0, MaxMetric: 2.5, ArgMax: "b"})
+	// A summary's "shared" is an int where a result's is a bool.
+	shared := line(t, Summary{Type: LineSummary, V: Version, Jobs: 2, Shared: 2, MaxMetric: 2.5, ArgMax: "b"})
 	cases := []struct {
-		name      string
-		body      func(w http.ResponseWriter)
-		wantIdx   []int
-		fails     bool
-		wantErr   string // substring of the error, when it has a fixed text
-		truncated bool
+		name       string
+		body       func(w http.ResponseWriter)
+		wantIdx    []int
+		wantShared int
+		fails      bool
+		wantErr    string // substring of the error, when it has a fixed text
+		truncated  bool
 	}{
 		{name: "complete", body: func(w http.ResponseWriter) {
 			fmt.Fprint(w, r1+r0+sum)
 		}, wantIdx: []int{1, 0}},
+		{name: "summary with shared jobs", body: func(w http.ResponseWriter) {
+			fmt.Fprint(w, r0+r1+shared)
+		}, wantIdx: []int{0, 1}, wantShared: 2},
+		{name: "mistyped result field", body: func(w http.ResponseWriter) {
+			fmt.Fprint(w, r0+`{"type":"result","index":"one"}`+"\n"+sum)
+		}, wantIdx: []int{0}, fails: true, wantErr: "bad result line"},
+		{name: "mistyped line type", body: func(w http.ResponseWriter) {
+			fmt.Fprint(w, r0+`{"type":5}`+"\n"+sum)
+		}, wantIdx: []int{0}, fails: true, wantErr: "bad stream line"},
 		{name: "truncated", body: func(w http.ResponseWriter) {
 			fmt.Fprint(w, r0+r1)
 		}, wantIdx: []int{0, 1}, fails: true, truncated: true},
@@ -77,7 +89,7 @@ func TestReadStream(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ReadStream: %v", err)
 				}
-				if s.Jobs != 2 || s.ArgMax != "b" || float64(s.MaxMetric) != 2.5 {
+				if s.Jobs != 2 || s.ArgMax != "b" || float64(s.MaxMetric) != 2.5 || s.Shared != tc.wantShared {
 					t.Errorf("summary %+v", s)
 				}
 				return

@@ -180,6 +180,49 @@ func TestWireMatchesHandBuiltSweep(t *testing.T) {
 	}
 }
 
+// chargeGrid16 is a 16-job charge sweep over two multiplier axes.
+func chargeGrid16() Spec {
+	return Spec{
+		Scenario: Scenario{Kind: "charge", DurationS: 0.5},
+		Axes: []Axis{
+			{Kind: AxisFloat, Param: "dickson.cstage", Values: []float64{10e-6, 15e-6, 22e-6, 33e-6}},
+			{Kind: AxisFloat, Param: "dickson.cout", Values: []float64{100e-6, 150e-6, 220e-6, 330e-6}},
+		},
+	}
+}
+
+// TestCompileSharesDiodeTable: compiling a spec reuses the multiplier
+// diode's PWL table rather than rebuilding it, so two compiles of one
+// spec, on a coordinator and on its worker alike, hold the same table.
+func TestCompileSharesDiodeTable(t *testing.T) {
+	a, err := chargeGrid16().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := chargeGrid16().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	da, db := a.Base.Scenario.Cfg.Dickson.Diode, b.Base.Scenario.Cfg.Dickson.Diode
+	if da.Table() == nil || da.Table() != db.Table() {
+		t.Fatalf("two compiles hold tables %p and %p, want one shared table", da.Table(), db.Table())
+	}
+}
+
+func BenchmarkCompileExpand16(b *testing.B) {
+	spec := chargeGrid16()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bspec, err := spec.Compile()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := bspec.Jobs(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestWireMatchesHandBuiltBistable pins the same local/remote identity
 // property for the bistable workload: the "bistable" wire kind compiles
 // to the exact job identity of a hand-built harvester.BistableScenario
