@@ -26,7 +26,11 @@ import (
 // v2: Snapshot gained the bistable basin fields (Transits,
 // SettledTransits, FinalBasin) — a v1 entry replayed under v2 would
 // report a bistable run as transit-free.
-const CacheSchemaVersion = 2
+//
+// v3: the multiplier diode's table merges its flat reverse-bias cells
+// into chord segments, which moves result bits wherever a diode goes
+// below −0.208 V; and Config lost the unread PWLSegments field.
+const CacheSchemaVersion = 3
 
 // cacheSchema is the full stamp written into disk entries and mixed into
 // every key.

@@ -40,31 +40,31 @@ func TestKeyOfGolden(t *testing.T) {
 		want string
 	}{
 		{"charge", charge(), Options{},
-			"81f4cec8696a6e36a258416df24b4a2e51fb3ea388036836a67cd80ddad1993d"},
+			"363ae29f39e7037c01b826a4120f76a616e42a00b0f31256495f84293a15ba35"},
 		{"scenario1 trap dec4", Job{Scenario: harvester.Scenario1(harvester.Quick),
 			Engine: harvester.ExistingTrap, Decimate: 4}, Options{},
-			"77caed046267e78957fbae4a0c5c8e83963d257155ae74d01461c7656a24ca03"},
+			"97a370c752f4dba67e19a15dc3fdf34843bd08ebadfcaa7aea42a54df377c334"},
 		{"scenario2 paper bdf2", Job{Scenario: harvester.Scenario2(harvester.PaperScale),
 			Engine: harvester.ExistingBDF2, Decimate: 1}, Options{},
-			"d144995d9a75554ea04aaa14984febfc86f73af03b0f019e92e40d9ce1a7c629"},
+			"a9553776d0c90d66cd93d74a8e2459a44d41766ab0eca72b77b7cd52eb3b9dab"},
 		{"tracking be", Job{Scenario: harvester.TrackingScenario(3, 65, 75),
 			Engine: harvester.ExistingBE}, Options{},
-			"bb13d9589bc5e066e69ebcc543b80e4a2cbd6376c13cdc39c30d9e79291808c3"},
+			"9b31b2d16d593ab93e7e40246b96ca42d5bb6040f32942330c3a55abdc6ad990"},
 		{"noise 1024 tones", Job{Scenario: noise, Seed: 7}, Options{},
-			"efb2e5a32f0272db1b0e99f34b2360225b650a6531a489a7a042b651ae1d39e3"},
+			"83d149808a96369efc331ed34e69079dc60bd96f30be51a96a85aa9237e450e4"},
 		{"noise high seed", Job{Scenario: seeded, Group: "g", Seed: 1<<63 + 5}, Options{},
-			"b59217e194e16a3598368057a51c8398b63b9f0489e5bfd208a154e858a0fb51"},
+			"94be7b3e515a64cb2ad85920eaef64f5196fe8997b2cba9e15bb5c28aff97f8f"},
 		{"bistable", Job{Scenario: bistable, Engine: harvester.Proposed}, Options{},
-			"df38f330209f404b3d93b562e4bb3b619a21e7c035e42bf27976b166adf77906"},
+			"1f3605392dd12e117f32fb2f9607e45e35c79521e98dc5d80f3c2daa5d0a4dde"},
 		{"duffing trap", Job{Scenario: harvester.DuffingScenario(2, harvester.DuffingK3Moderate),
 			Engine: harvester.ExistingTrap}, Options{},
-			"3eb4f17ae17589d5499ee275689b978132671965b73bd916e6d5930efb961d7e"},
+			"68879853fe33b6c3e701744873bc0f592730bda1519b2f76f482265972cf54fa"},
 		{"settle 0.25", charge(), Options{SettleFrac: 0.25},
-			"2defe65c65eed212f11105ddd46f162d5cbb6ef412b41f0079b643e75e1b3086"},
+			"135282a6b865165eca621e57e418a04e84eb96def3068b0a487734b1c42ad61b"},
 		{"metric key", metric, Options{},
-			"3ac57e8f74c77dbd2e3cdcdccddcb6aa083cd194ec288504e01bc53e62e6d0d3"},
+			"bf4febbb55bf2bb9d695e7a2bf49493f5edb16103132ae5a5dbe59d14bac55f0"},
 		{"stray metric key", stray, Options{},
-			"81f4cec8696a6e36a258416df24b4a2e51fb3ea388036836a67cd80ddad1993d"},
+			"363ae29f39e7037c01b826a4120f76a616e42a00b0f31256495f84293a15ba35"},
 	}
 	for _, tc := range cases {
 		if got := KeyOf(tc.job, tc.opt).String(); got != tc.want {

@@ -26,10 +26,10 @@ type DicksonParams struct {
 }
 
 // DefaultDickson returns the 5-stage multiplier used by the harvester
-// with the given PWL table granularity.
-func DefaultDickson(segments int) DicksonParams {
+// with a diode table on a grid of the given number of cells.
+func DefaultDickson(cells int) DicksonParams {
 	d := &pwl.Diode{Is: 5e-6, NVt: 38.7e-3, Rs: 100}
-	d.BuildTable(segments)
+	d.BuildTable(cells)
 	return DicksonParams{
 		Stages: 5,
 		CStage: 22e-6,
@@ -51,7 +51,7 @@ type Dickson struct {
 	name string
 
 	g, j    []float64 // companion pairs per diode (1-based at index 0)
-	segs    []int     // last PWL segment per diode
+	segs    []int     // last PWL segment id per diode
 	dirty   bool
 	initOut float64 // precharge voltage for the output ladder
 }

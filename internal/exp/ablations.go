@@ -110,9 +110,10 @@ func AblationABOrder(duration float64) (AblationResult, error) {
 // AblationPWL sweeps the lookup-table granularity against the paper's
 // claim that "the size of the look-up tables does not affect the
 // simulation speed" while the modelling accuracy can be made arbitrarily
-// fine. The lookup is O(1) at any size; what a finer table costs is
+// fine. The lookup is O(1) at any size; what a finer grid costs is
 // more segment crossings, hence more refreshes, which the Refreshes
-// column shows next to the CPU time.
+// column shows next to the CPU time. Each row names its grid's cell
+// count and the segments left after the diode's flat span merged.
 func AblationPWL(duration float64) (AblationResult, error) {
 	res := AblationResult{
 		Title: "Ablation A2 — PWL table granularity (paper Section III-B)",
@@ -123,9 +124,9 @@ func AblationPWL(duration float64) (AblationResult, error) {
 	if err != nil {
 		return res, err
 	}
-	for _, segs := range []int{16, 64, 256, 1024, 4096, 16384} {
+	for _, cells := range []int{16, 64, 256, 1024, 4096, 16384} {
 		cfg := sc.Cfg
-		cfg.Dickson = cloneDicksonWithSegments(cfg.Dickson, segs)
+		cfg.Dickson = cloneDicksonWithCells(cfg.Dickson, cells)
 		h := harvester.New(cfg)
 		eng := core.NewEngine(h.Sys)
 		eng.Events = h.Kernel
@@ -139,7 +140,7 @@ func AblationPWL(duration float64) (AblationResult, error) {
 		}
 		cmp := trace.Compare(rec, ref, 400)
 		res.Rows = append(res.Rows, AblationRow{
-			Setting:   fmt.Sprintf("%d segments", segs),
+			Setting:   fmt.Sprintf("%d cells, %d segments", cells, cfg.Dickson.Diode.Table().NumSegments()),
 			CPUTime:   cpuNow() - c0,
 			Steps:     eng.Stats.Steps,
 			Refreshes: eng.Stats.Refreshes,
@@ -149,9 +150,9 @@ func AblationPWL(duration float64) (AblationResult, error) {
 	return res, nil
 }
 
-func cloneDicksonWithSegments(p blocks.DicksonParams, segs int) blocks.DicksonParams {
+func cloneDicksonWithCells(p blocks.DicksonParams, cells int) blocks.DicksonParams {
 	d := *p.Diode
-	d.BuildTable(segs)
+	d.BuildTable(cells)
 	p.Diode = &d
 	return p
 }

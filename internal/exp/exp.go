@@ -42,6 +42,18 @@ func (r EngineRun) Speedup(other EngineRun) float64 {
 	return a / b
 }
 
+// perStep renders the proposed engine's refreshes, stability analyses
+// and elimination solves per accepted step: the counters that set its
+// cost, printed beside the Table I/II speedups.
+func (r EngineRun) perStep() string {
+	if r.Stats.Steps == 0 {
+		return "-"
+	}
+	n := float64(r.Stats.Steps)
+	return fmt.Sprintf("%.2f / %.2f / %.2f", float64(r.Stats.Refactors)/n,
+		float64(r.Stats.StabilityRecomputes)/n, float64(r.Stats.Solves)/n)
+}
+
 // ExtrapolateTo estimates the CPU time for a longer simulated span
 // (per-step cost is duration-invariant, so CPU time scales linearly).
 func (r EngineRun) ExtrapolateTo(simTime float64) time.Duration {

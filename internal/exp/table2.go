@@ -72,7 +72,8 @@ func Table2(f harvester.Fidelity) (Table2Result, error) {
 // wall-clock magnitudes.
 func (r Table2Result) String() string {
 	var w tableWriter
-	w.add("Scenario", "Existing (trap+NR)", "Proposed (AB)", "Speedup", "Paper", "Vc RMSE [V]")
+	w.add("Scenario", "Existing (trap+NR)", "Proposed (AB)", "Speedup",
+		"Proposed refresh/stab/solve per step", "Proposed steps", "Paper", "Vc RMSE [V]")
 	for _, row := range r.Rows {
 		paper := fmt.Sprintf("%s vs %s (%.0fx)",
 			FormatDuration(row.PaperExisting), FormatDuration(row.PaperProposed),
@@ -81,6 +82,8 @@ func (r Table2Result) String() string {
 			FormatDuration(row.Existing.CPUTime),
 			FormatDuration(row.Proposed.CPUTime),
 			fmt.Sprintf("%.0fx", row.Speedup),
+			row.Proposed.perStep(),
+			fmt.Sprintf("%d", row.Proposed.Steps),
 			paper,
 			fmt.Sprintf("%.2g", row.VcRMSE),
 		)

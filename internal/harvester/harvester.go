@@ -54,8 +54,6 @@ type Config struct {
 	InitialTuneHz float64 // generator's initial tuned resonance [Hz]
 	InitialVc     float64 // initial supercapacitor voltage [V]
 
-	PWLSegments int // diode lookup-table granularity
-
 	// Autonomous enables the microcontroller/actuator processes; without
 	// it the system is a plain (non-tunable) harvester charging its
 	// storage.
@@ -103,7 +101,6 @@ func DefaultConfig() Config {
 		VibFreq:       70,
 		InitialTuneHz: 70,
 		InitialVc:     0,
-		PWLSegments:   1024,
 		Autonomous:    true,
 	}
 }

@@ -141,9 +141,10 @@ func appendValue(b []byte, v reflect.Value) []byte {
 }
 
 // appendDiode encodes the diode model's physical parameters plus the
-// derived companion table's granularity (which is fixed at BuildTable
-// time and changes the simulated physics, but lives in an unexported
-// field).
+// cell count its companion table was built from (fixed at BuildTable
+// time, it changes the simulated physics but lives in an unexported
+// field). The cell count, not the segment count, names the table: two
+// grids can merge down to the same number of segments.
 func appendDiode(b []byte, d *pwl.Diode) []byte {
 	b = append(b, tagDiode)
 	if d == nil {
@@ -153,11 +154,11 @@ func appendDiode(b []byte, d *pwl.Diode) []byte {
 	b = appendF64(b, d.Is)
 	b = appendF64(b, d.NVt)
 	b = appendF64(b, d.Rs)
-	segs := 0
+	cells := 0
 	if t := d.Table(); t != nil {
-		segs = t.NumSegments()
+		cells = t.NumCells()
 	}
-	return appendU64(b, uint64(segs))
+	return appendU64(b, uint64(cells))
 }
 
 // AppendHash appends the canonical, collision-safe encoding of the

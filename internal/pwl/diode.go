@@ -25,9 +25,9 @@ type Diode struct {
 
 // DefaultDiode returns the parameters used by the harvester's multiplier:
 // a small-signal Schottky-like diode suited to µW-level rectification.
-func DefaultDiode(segments int) *Diode {
+func DefaultDiode(cells int) *Diode {
 	d := &Diode{Is: 25e-9, NVt: 38.7e-3, Rs: 25}
-	d.BuildTable(segments)
+	d.BuildTable(cells)
 	return d
 }
 
@@ -70,29 +70,44 @@ func (d *Diode) Conductance(vd float64) float64 {
 	return gj / (1 + gj*d.Rs)
 }
 
+// mergeTol is the diode table's merge tolerance in units of Is: a run of
+// cells becomes one chord segment where that chord stays within
+// mergeTol·Is of Current (BuildMerged). Deep reverse bias, where the
+// current is flat at −Is, then keeps one segment, and one companion
+// pair, across what would otherwise be ~900 cell crossings, each of
+// which costs the proposed engine a refresh. For the multiplier's diode
+// on the default 1024-cell grid, merging stops at −0.208 V: every cell
+// above keeps the uniform grid, and the Table I charge, whose diodes
+// never go below −0.192 V, keeps every bit. Twice this tolerance would
+// merge the cell the charge reaches at −0.192 V.
+const mergeTol = 5e-4
+
 // tableKey is everything a diode's companion table depends on: the
-// bit patterns of the parameters Current reads, and the segment count.
+// bit patterns of the parameters Current reads, and the cell count.
 type tableKey struct {
 	is, nvt, rs uint64
-	segments    int
+	cells       int
 }
 
 // tables holds one companion table per tableKey, shared by every diode
-// whose parameters are bit-equal: a Table is never written after Build,
-// so sharing one cannot move a result bit. The store needs no bound
-// because no request input reaches a diode's parameters or granularity:
-// its keys come only from code (the multiplier's default 1024-segment
-// table, tests and the granularity ablation's 16 to 16384 segments).
+// whose parameters are bit-equal: a Table is never written after it is
+// built, so sharing one cannot move a result bit. The store needs no
+// bound because no request input reaches a diode's parameters or
+// granularity: its keys come only from code (the multiplier's default
+// 1024-cell table, tests and the granularity ablation's 16 to 16384
+// cells).
 var tables sync.Map // tableKey -> *Table
 
-// BuildTable (re)builds the PWL companion table with the given number of
-// segments over a voltage window wide enough for the multiplier stages.
-// Diodes with bit-equal parameters share one table, built on first use.
-func (d *Diode) BuildTable(segments int) {
-	if segments < 2 {
-		segments = 2
+// BuildTable (re)builds the PWL companion table on a grid of the given
+// number of cells over a voltage window wide enough for the multiplier
+// stages, merging the cells of the flat reverse-bias span into chord
+// segments (mergeTol). Diodes with bit-equal parameters share one
+// table, built on first use.
+func (d *Diode) BuildTable(cells int) {
+	if cells < 2 {
+		cells = 2
 	}
-	key := tableKey{math.Float64bits(d.Is), math.Float64bits(d.NVt), math.Float64bits(d.Rs), segments}
+	key := tableKey{math.Float64bits(d.Is), math.Float64bits(d.NVt), math.Float64bits(d.Rs), cells}
 	if t, ok := tables.Load(key); ok {
 		d.table = t.(*Table)
 		return
@@ -102,17 +117,20 @@ func (d *Diode) BuildTable(segments int) {
 	// the edge slopes, which for the high edge is the Rs-limited ~1/Rs
 	// slope — exactly the physical behaviour. Builders racing on one key
 	// all end up holding the table that was stored first.
-	t, _ := tables.LoadOrStore(key, MustBuild(d.Current, -15.0, 1.5, segments))
-	d.table = t.(*Table)
+	t, err := BuildMerged(d.Current, -15.0, 1.5, cells, mergeTol*d.Is)
+	if err != nil {
+		panic(err)
+	}
+	stored, _ := tables.LoadOrStore(key, t)
+	d.table = stored.(*Table)
 }
 
 // Table exposes the underlying companion table.
 func (d *Diode) Table() *Table { return d.table }
 
 // Companion returns the linearised pair (G, J) with Id ≈ G·Vd + J at the
-// operating point vd, plus the table segment index used (for LLE /
+// operating point vd, plus the table segment id used (for LLE /
 // Jacobian-change detection).
 func (d *Diode) Companion(vd float64) (g, j float64, segment int) {
-	g, j = d.table.Lookup(vd)
-	return g, j, d.table.SegmentIndex(vd)
+	return d.table.Companion(vd)
 }

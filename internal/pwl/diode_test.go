@@ -139,22 +139,26 @@ func TestBuildTableMinimumSegments(t *testing.T) {
 }
 
 // TestBuildTableShared: diodes whose parameters are bit-equal share one
-// table, and that table is exactly what a fresh Build produces; a
-// different Is, Rs or segment count gets a table of its own.
+// table, and that table is exactly what a fresh BuildMerged produces; a
+// different Is, Rs or cell count gets a table of its own.
 func TestBuildTableShared(t *testing.T) {
 	a, b := DefaultDiode(1024), DefaultDiode(1024)
 	if a.Table() != b.Table() {
 		t.Fatal("bit-equal diodes hold different tables")
 	}
-	fresh := MustBuild(a.Current, -15.0, 1.5, 1024)
-	if !reflect.DeepEqual(a.Table(), fresh) {
-		t.Fatal("shared table differs from a fresh Build")
+	fresh, err := BuildMerged(a.Current, -15.0, 1.5, 1024, mergeTol*a.Is)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, s := range a.Table().segs {
-		f := fresh.segs[i]
-		if math.Float64bits(s.G) != math.Float64bits(f.G) || math.Float64bits(s.J) != math.Float64bits(f.J) ||
-			math.Float64bits(s.V0) != math.Float64bits(f.V0) || math.Float64bits(s.V1) != math.Float64bits(f.V1) {
-			t.Fatalf("segment %d: shared %+v, fresh %+v", i, s, f)
+	if !reflect.DeepEqual(a.Table(), fresh) {
+		t.Fatal("shared table differs from a fresh BuildMerged")
+	}
+	for i, s := range a.Table().cells {
+		f := fresh.cells[i]
+		if math.Float64bits(s.g) != math.Float64bits(f.g) || math.Float64bits(s.j) != math.Float64bits(f.j) ||
+			math.Float64bits(s.v0) != math.Float64bits(f.v0) || math.Float64bits(s.v1) != math.Float64bits(f.v1) ||
+			s.seg != f.seg {
+			t.Fatalf("cell %d: shared %+v, fresh %+v", i, s, f)
 		}
 	}
 	for _, tc := range []struct {
@@ -199,6 +203,154 @@ func TestBuildTableConcurrent(t *testing.T) {
 	for i, d := range diodes {
 		if d.Table() != diodes[0].Table() {
 			t.Fatalf("diode %d holds a different table", i)
+		}
+	}
+}
+
+// multiplierDiode has the parameters of the harvester's Dickson
+// multiplier diode (blocks.DefaultDickson), the table the engines march
+// on.
+func multiplierDiode(cells int) *Diode {
+	d := &Diode{Is: 5e-6, NVt: 38.7e-3, Rs: 100}
+	d.BuildTable(cells)
+	return d
+}
+
+// mergedTables are the merged diode tables the structure tests walk:
+// the multiplier's default grid and a coarse one, and DefaultDiode.
+func mergedTables() map[string]*Diode {
+	return map[string]*Diode{
+		"multiplier/1024": multiplierDiode(1024),
+		"multiplier/64":   multiplierDiode(64),
+		"default/1024":    DefaultDiode(1024),
+	}
+}
+
+// TestMergedTableAccuracyContract: at 16 probes per cell, the merged
+// table's error against Current exceeds the uniform table's by at most
+// mergeTol·Is, and the flat reverse-bias span did merge.
+func TestMergedTableAccuracyContract(t *testing.T) {
+	for name, d := range mergedTables() {
+		tab := d.Table()
+		uni := MustBuild(d.Current, -15, 1.5, tab.NumCells())
+		if tab.NumSegments() > tab.NumCells()/4 {
+			t.Errorf("%s: %d segments of %d cells, the reverse span did not merge",
+				name, tab.NumSegments(), tab.NumCells())
+		}
+		tol := mergeTol * d.Is
+		for _, c := range uni.cells {
+			for p := 0; p <= 16; p++ {
+				v := c.v0 + (c.v1-c.v0)*float64(p)/16
+				exact := d.Current(v)
+				if e, u := math.Abs(tab.Eval(v)-exact), math.Abs(uni.Eval(v)-exact); e > u+tol {
+					t.Fatalf("%s: at v=%v the merged error %g exceeds the uniform %g by more than %g",
+						name, v, e, u, tol)
+				}
+			}
+		}
+	}
+}
+
+// TestMergedTableStructure: segment ids start at 0, never decrease with
+// v and step by at most one; cells that share an id share their G/J
+// bits; every cell keeps Build's bounds, and a cell alone in its segment
+// keeps Build's G/J bits. On the multiplier's default grid every cell
+// from −0.2 V up, the knee included, is alone. Off the window the table
+// continues its edge segments.
+func TestMergedTableStructure(t *testing.T) {
+	bits := math.Float64bits
+	for name, d := range mergedTables() {
+		tab := d.Table()
+		uni := MustBuild(d.Current, -15, 1.5, tab.NumCells())
+		cs := tab.cells
+		if cs[0].seg != 0 || cs[len(cs)-1].seg != tab.NumSegments()-1 {
+			t.Fatalf("%s: ids run %d..%d for %d segments", name, cs[0].seg, cs[len(cs)-1].seg, tab.NumSegments())
+		}
+		for k, c := range cs {
+			u := uni.cells[k]
+			if bits(c.v0) != bits(u.v0) || bits(c.v1) != bits(u.v1) {
+				t.Fatalf("%s: cell %d bounds [%v, %v), Build's [%v, %v)", name, k, c.v0, c.v1, u.v0, u.v1)
+			}
+			if k > 0 {
+				prev := cs[k-1]
+				switch c.seg - prev.seg {
+				case 0:
+					if bits(c.g) != bits(prev.g) || bits(c.j) != bits(prev.j) {
+						t.Fatalf("%s: cells %d and %d share id %d but not G/J", name, k-1, k, c.seg)
+					}
+				case 1:
+				default:
+					t.Fatalf("%s: id %d after %d at cell %d", name, c.seg, prev.seg, k)
+				}
+			}
+			alone := (k == 0 || cs[k-1].seg != c.seg) && (k == len(cs)-1 || cs[k+1].seg != c.seg)
+			if alone && (bits(c.g) != bits(u.g) || bits(c.j) != bits(u.j)) {
+				t.Fatalf("%s: unmerged cell %d has G/J %v/%v, Build's %v/%v", name, k, c.g, c.j, u.g, u.j)
+			}
+			if name == "multiplier/1024" && c.v0 >= -0.2 && !alone {
+				t.Fatalf("%s: knee cell %d at %v V merged", name, k, c.v0)
+			}
+		}
+		lo, hi := cs[0], cs[len(cs)-1]
+		if g, j, _ := tab.Companion(-16); bits(g) != bits(lo.g) || bits(j) != bits(lo.j) {
+			t.Fatalf("%s: below the window G/J %v/%v, first segment's %v/%v", name, g, j, lo.g, lo.j)
+		}
+		if g, j, _ := tab.Companion(2); bits(g) != bits(hi.g) || bits(j) != bits(hi.j) {
+			t.Fatalf("%s: above the window G/J %v/%v, last segment's %v/%v", name, g, j, hi.g, hi.j)
+		}
+		prev := -2
+		for v := -16.0; v <= 2; v += 1e-3 {
+			g, j, seg := tab.Companion(v)
+			if seg < prev {
+				t.Fatalf("%s: segment id %d after %d at v=%v", name, seg, prev, v)
+			}
+			if g2, j2 := tab.Lookup(v); bits(g) != bits(g2) || bits(j) != bits(j2) || seg != tab.SegmentIndex(v) {
+				t.Fatalf("%s: Companion, Lookup and SegmentIndex disagree at v=%v", name, v)
+			}
+			prev = seg
+		}
+	}
+}
+
+// TestBuildMerged: a linear function merges into one exact segment; at
+// tol 0 a strictly convex one keeps Build's table bit for bit.
+func TestBuildMerged(t *testing.T) {
+	lin := func(v float64) float64 { return 0.5*v - 1 }
+	tab, err := BuildMerged(lin, -4, 4, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.NumSegments() != 1 || tab.NumCells() != 64 {
+		t.Fatalf("linear f: %d segments of %d cells, want 1 of 64", tab.NumSegments(), tab.NumCells())
+	}
+	for _, v := range []float64{-5, -4, -1.3, 0, 3.99, 4, 7} {
+		if got := tab.Eval(v); math.Abs(got-lin(v)) > 1e-12 {
+			t.Fatalf("Eval(%v) = %v, want %v", v, got, lin(v))
+		}
+	}
+	merged, err := BuildMerged(math.Exp, -1, 1, 32, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uni := MustBuild(math.Exp, -1, 1, 32); !reflect.DeepEqual(merged, uni) {
+		t.Fatal("tol 0 merged cells of a strictly convex f")
+	}
+	if _, err := BuildMerged(math.Sin, 1, 1, 4, 1); err == nil {
+		t.Fatal("BuildMerged accepted an empty interval")
+	}
+}
+
+// TestCompanionMinimumGrid: the smallest grid BuildTable allows, two
+// cells, serves every lookup (off-table ones included).
+func TestCompanionMinimumGrid(t *testing.T) {
+	d := multiplierDiode(2)
+	if n := d.Table().NumCells(); n != 2 {
+		t.Fatalf("BuildTable(2) built %d cells", n)
+	}
+	for _, v := range []float64{math.NaN(), -20, -15, -3, 0, 1.5, 9} {
+		g, _, seg := d.Companion(v)
+		if g < 0 || seg < -1 || seg > d.Table().NumSegments() {
+			t.Fatalf("Companion(%v) = g %v, segment %d", v, g, seg)
 		}
 	}
 }

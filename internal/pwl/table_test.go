@@ -128,9 +128,9 @@ func TestLookupIsContinuousAcrossSegments(t *testing.T) {
 	// charge into the simulated circuit.
 	tab := MustBuild(func(v float64) float64 { return math.Exp(v) }, -2, 2, 33)
 	for k := 0; k < tab.NumSegments()-1; k++ {
-		vb := tab.segs[k].V1
-		left := tab.segs[k].G*vb + tab.segs[k].J
-		right := tab.segs[k+1].G*vb + tab.segs[k+1].J
+		vb := tab.cells[k].v1
+		left := tab.cells[k].g*vb + tab.cells[k].j
+		right := tab.cells[k+1].g*vb + tab.cells[k+1].j
 		if math.Abs(left-right) > 1e-12*(1+math.Abs(left)) {
 			t.Fatalf("discontinuity at segment %d boundary %v: %v vs %v", k, vb, left, right)
 		}

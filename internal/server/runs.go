@@ -101,8 +101,15 @@ func (run *Run) Status(withResults bool) wire.JobStatus {
 	return st
 }
 
+// traceBudget bounds the spans that finished traced runs keep
+// queryable: one full flight recorder's worth. A traced client fetches
+// its spans after the fact, so traced runs are not retired by the count
+// bound, which a busy traced window outruns.
+const traceBudget = tracing.DefaultCapacity
+
 // runs is an id-keyed registry of sweep runs with bounded retention of
-// finished ones.
+// finished ones: a count bound for untraced runs and a span budget for
+// traced ones, each evicting oldest first.
 type runs struct {
 	prefix string
 	keep   int
@@ -110,13 +117,25 @@ type runs struct {
 	mu   sync.Mutex
 	seq  int64
 	jobs map[string]*Run
-	// finished ids in completion order, for retention eviction.
+	// finished untraced ids in completion order, for count eviction.
 	doneOrder []string
+	// finished traced runs in completion order, and the spans they hold.
+	traced []tracedRun
+	spans  int
+}
+
+// tracedRun is a finished traced run and the spans its sealed recorder
+// holds.
+type tracedRun struct {
+	id    string
+	spans int
 }
 
 // newRuns builds a registry. Ids are prefix + sequence number;
-// keepFinished bounds how many finished runs stay queryable (oldest
-// dropped first), 0 means the default of 128.
+// keepFinished bounds how many finished untraced runs stay queryable
+// (oldest dropped first), 0 means the default of 128. Finished traced
+// runs stay while the spans they hold fit traceBudget; the newest one
+// always stays.
 func newRuns(prefix string, keepFinished int) *runs {
 	if keepFinished <= 0 {
 		keepFinished = 128
@@ -143,11 +162,23 @@ func (rs *runs) Lookup(id string) *Run {
 	return rs.jobs[id]
 }
 
-// Retire records a finished run and evicts the oldest finished ones
-// beyond the retention bound.
+// Retire records a finished run, whose recorder (if any) is sealed, and
+// evicts the oldest finished runs beyond the retention bound of its
+// kind.
 func (rs *runs) Retire(id string) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
+	if rec := rs.jobs[id].Trace; rec != nil {
+		n := rec.Retained()
+		rs.traced = append(rs.traced, tracedRun{id, n})
+		rs.spans += n
+		for len(rs.traced) > 1 && rs.spans > traceBudget {
+			delete(rs.jobs, rs.traced[0].id)
+			rs.spans -= rs.traced[0].spans
+			rs.traced = rs.traced[1:]
+		}
+		return
+	}
 	rs.doneOrder = append(rs.doneOrder, id)
 	for len(rs.doneOrder) > rs.keep {
 		delete(rs.jobs, rs.doneOrder[0])

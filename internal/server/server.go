@@ -78,8 +78,9 @@ type Options struct {
 	// Cache is the shared result store; nil builds an in-memory cache
 	// with the default capacity.
 	Cache *batch.Cache
-	// KeepFinished bounds how many finished sweeps stay queryable;
-	// oldest are dropped first. 0 = 128.
+	// KeepFinished bounds how many finished untraced sweeps stay
+	// queryable; oldest are dropped first. 0 = 128. Finished traced
+	// sweeps stay while their spans fit one flight recorder's capacity.
 	KeepFinished int
 }
 

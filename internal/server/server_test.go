@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"harvsim/internal/batch"
+	"harvsim/internal/tracing"
 	"harvsim/internal/wire"
 )
 
@@ -669,6 +670,82 @@ func TestFinishedJobRetention(t *testing.T) {
 	getJSON(t, ts, accs[2].StatusURL, &st)
 	if st.State != wire.StateDone {
 		t.Errorf("newest job not queryable: %+v", st)
+	}
+}
+
+// TestTracedRunOutlivesCountBound: a traced sweep is not retired by the
+// KeepFinished count, so a client that fetches its spans after later
+// untraced sweeps finished still gets its trace and its status.
+func TestTracedRunOutlivesCountBound(t *testing.T) {
+	const keep = 2
+	srv := New(Options{KeepFinished: keep})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := wire.Spec{Scenario: wire.Scenario{Kind: "charge", DurationS: 0.05}}
+	traced := postSweep(t, ts, wire.SweepRequest{Spec: spec, Trace: tracing.NewTraceID()})
+	streamSweep(t, ts, traced)
+	var untraced []wire.SweepAccepted
+	for i := 0; i < keep+1; i++ {
+		acc := postSweep(t, ts, wire.SweepRequest{Spec: spec})
+		streamSweep(t, ts, acc)
+		untraced = append(untraced, acc)
+	}
+	var st wire.JobStatus
+	getJSON(t, ts, traced.StatusURL, &st)
+	if st.State != wire.StateDone {
+		t.Fatalf("traced job status: %+v", st)
+	}
+	if spans := fetchSpans(t, ts, traced.ID, ""); len(spans) == 0 {
+		t.Fatal("traced job serves no spans")
+	}
+	resp, err := http.Get(ts.URL + untraced[0].StatusURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("oldest untraced job still present past the count bound: %s", resp.Status)
+	}
+}
+
+// TestTracedRunsEvictOldestFirst: finished traced runs stay while the
+// spans they hold fit traceBudget; past it the oldest go first, and the
+// newest stays even when it alone exceeds the budget.
+func TestTracedRunsEvictOldestFirst(t *testing.T) {
+	rs := newRuns("t-", 1)
+	retire := func(spans int) *Run {
+		run := rs.New(1, func() {})
+		run.Trace = tracing.New("", 2*traceBudget)
+		for i := 0; i < spans; i++ {
+			run.Trace.Add("job", "", i, time.Time{}, 0)
+		}
+		run.Trace.Finish()
+		rs.Retire(run.ID)
+		return run
+	}
+	third := traceBudget/3 + 1
+	a, b := retire(third), retire(third)
+	untraced := rs.New(1, func() {})
+	rs.Retire(untraced.ID) // counts against KeepFinished, not the budget
+	if rs.Lookup(a.ID) == nil || rs.Lookup(b.ID) == nil {
+		t.Fatal("traced runs evicted within the span budget")
+	}
+	c := retire(third)
+	if rs.Lookup(a.ID) != nil {
+		t.Error("oldest traced run kept past the span budget")
+	}
+	if rs.Lookup(b.ID) == nil || rs.Lookup(c.ID) == nil || rs.Lookup(untraced.ID) == nil {
+		t.Error("a run newer than the evicted one was dropped")
+	}
+	big := retire(traceBudget + 1)
+	for _, run := range []*Run{b, c} {
+		if rs.Lookup(run.ID) != nil {
+			t.Errorf("%s kept beside a run that fills the budget alone", run.ID)
+		}
+	}
+	if rs.Lookup(big.ID) == nil {
+		t.Error("the newest traced run was evicted")
 	}
 }
 

@@ -30,7 +30,8 @@ type Options struct {
 	// re-shards included; clients may ask for less via budget_ms, never
 	// more. 0 = 120s.
 	MaxRequestTime time.Duration
-	// KeepFinished bounds how many finished sweeps stay queryable. 0 = 128.
+	// KeepFinished bounds how many finished untraced sweeps stay
+	// queryable, as server.Options does. 0 = 128.
 	KeepFinished int
 	// HealthTimeout bounds one worker health probe. 0 = 2s.
 	HealthTimeout time.Duration

@@ -262,6 +262,17 @@ func (r *Recorder) Len() int64 {
 	return r.first + int64(len(r.buf))
 }
 
+// Retained returns the number of spans the ring holds: Len minus the
+// evicted ones.
+func (r *Recorder) Retained() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.buf)
+}
+
 // Snapshot copies the retained spans from absolute cursor from onward
 // (clamped past evictions) without blocking, returning the next cursor.
 func (r *Recorder) Snapshot(from int64) (spans []Span, next int64) {
