@@ -194,8 +194,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	_, vcEnd := h.VcTrace.Last()
-	fmt.Printf("final supercap voltage: %.4f V\n", vcEnd)
+	fmt.Printf("final supercap voltage: %.4f V\n", h.LastVc())
 	if sc.Cfg.Microgen.Bistable() {
 		bs := h.BasinStats()
 		fmt.Printf("basins: %d inter-well transits (%d settled), final basin %+d\n",

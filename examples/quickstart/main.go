@@ -23,8 +23,7 @@ func main() {
 	}
 	_ = eng
 
-	_, vc := h.VcTrace.Last()
-	fmt.Printf("after 60 s: Vc = %.4f V\n", vc)
+	fmt.Printf("after 60 s: Vc = %.4f V\n", h.LastVc())
 	fmt.Printf("harvested %.1f uW on average\n", h.Energy.Harvested/60*1e6)
 	fmt.Printf("delivered %.1f uW into the supercapacitor\n", h.Energy.ToStore/60*1e6)
 }

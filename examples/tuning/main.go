@@ -33,6 +33,5 @@ func main() {
 	fmt.Printf("(paper Fig. 8(a): 118 uW and 117 uW, measured 116 uW)\n")
 
 	lo, _ := h.VcTrace.MinMax()
-	_, vcEnd := h.VcTrace.Last()
-	fmt.Printf("supercap: dipped to %.3f V while tuning, finished at %.3f V\n", lo, vcEnd)
+	fmt.Printf("supercap: dipped to %.3f V while tuning, finished at %.3f V\n", lo, h.LastVc())
 }

@@ -110,8 +110,10 @@ type EngineStats struct {
 	// (proposed) or Newton iterations (implicit).
 	Solves int
 	// StabilityRecomputes counts reduced-matrix stability analyses
-	// (proposed engine only).
+	// (proposed engine only), StabilityReused those of them served from
+	// the run's stability memo rather than computed.
 	StabilityRecomputes int
+	StabilityReused     int
 	// Restarts counts multistep-history restarts at discontinuities
 	// (proposed engine only).
 	Restarts int
@@ -134,6 +136,7 @@ func StatsOf(eng harvester.Engine) EngineStats {
 			Refactors:           e.Stats.Refreshes,
 			Solves:              e.Stats.YSolves,
 			StabilityRecomputes: e.Stats.StabilityRecomputes,
+			StabilityReused:     e.Stats.StabilityReused,
 			Restarts:            e.Stats.Restarts,
 			Allocs:              e.Stats.Allocs,
 			AllocBytes:          e.Stats.AllocBytes,
@@ -164,7 +167,7 @@ type Result struct {
 	Err     error
 	Elapsed time.Duration
 
-	FinalVc    float64   // supercap terminal voltage at the horizon
+	FinalVc    float64   // supercap terminal voltage at the horizon (Harvester.LastVc)
 	FinalState []float64 // copy of the engine's state vector
 	RMSPower   float64   // RMS input power over the settled window [W]
 	MeanPower  float64   // mean input power over the settled window [W]
@@ -598,7 +601,7 @@ func runFresh(res *Result, job Job, opt Options, pool *core.WorkspacePool, paren
 	endMarch()
 	opt.Metrics.observeEngineRun(res.Elapsed)
 
-	_, res.FinalVc = h.VcTrace.Last()
+	res.FinalVc = h.LastVc()
 	res.FinalState = append([]float64(nil), eng.State()...)
 	settled := h.PMultIn.Slice(job.Scenario.Duration*opt.settleFrac(), job.Scenario.Duration)
 	res.RMSPower = settled.RMS()

@@ -207,6 +207,41 @@ func TestPooledMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestFinalVcIgnoresDecimation: FinalVc is the voltage at the horizon
+// and the MCU reads the latest observed Vc, so neither depends on how
+// sparsely the traces keep samples. The Table I charge and a shortened
+// scenario 1 (the MCU wakes, measures and retunes inside it) give the
+// same FinalVc and FinalState bits at decimation 1 and 1<<20, under the
+// proposed engine and the trapezoidal baseline.
+func TestFinalVcIgnoresDecimation(t *testing.T) {
+	s1 := harvester.Scenario1(harvester.Quick)
+	s1.Duration = 3
+	s1.Shifts = []harvester.FreqShift{{T: 1.5, Hz: 71}}
+	s1.Cfg.MCU.Watchdog = 1
+	for _, sc := range []harvester.Scenario{harvester.ChargeScenario(2), s1} {
+		for _, kind := range []harvester.EngineKind{harvester.Proposed, harvester.ExistingTrap} {
+			var jobs []Job
+			for _, dec := range []int{1, 1 << 20} {
+				jobs = append(jobs, Job{Scenario: sc.Clone(), Engine: kind, Decimate: dec})
+			}
+			res := RunSerial(jobs, Options{})
+			all, sparse := res[0], res[1]
+			if all.Err != nil || sparse.Err != nil {
+				t.Fatalf("%s/%v: %v, %v", sc.Name, kind, all.Err, sparse.Err)
+			}
+			if math.Float64bits(all.FinalVc) != math.Float64bits(sparse.FinalVc) {
+				t.Errorf("%s/%v: FinalVc %v at decimation 1, %v at 1<<20", sc.Name, kind, all.FinalVc, sparse.FinalVc)
+			}
+			for k := range all.FinalState {
+				if math.Float64bits(all.FinalState[k]) != math.Float64bits(sparse.FinalState[k]) {
+					t.Errorf("%s/%v: state[%d] %v at decimation 1, %v at 1<<20",
+						sc.Name, kind, k, all.FinalState[k], sparse.FinalState[k])
+				}
+			}
+		}
+	}
+}
+
 func TestErrorCaptureIsolated(t *testing.T) {
 	good := chargeJob(0.3)
 	bad := chargeJob(0.3)

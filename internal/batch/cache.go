@@ -30,7 +30,15 @@ import (
 // v3: the multiplier diode's table merges its flat reverse-bias cells
 // into chord segments, which moves result bits wherever a diode goes
 // below −0.208 V; and Config lost the unread PWLSegments field.
-const CacheSchemaVersion = 3
+//
+// v4: the proposed engine memoises its stability analysis within a run,
+// and a repeated Jacobian reuses the caps computed under the balancing
+// scales of its first sight, which moves result bits of every run that
+// repeats one (the memo's constants, core.memoKeyCap and its table
+// size, are part of this version); FinalVc and the Vc the MCU reads
+// come from the latest observed point instead of the decimated trace;
+// and EngineStats gained StabilityReused.
+const CacheSchemaVersion = 4
 
 // cacheSchema is the full stamp written into disk entries and mixed into
 // every key.

@@ -40,31 +40,31 @@ func TestKeyOfGolden(t *testing.T) {
 		want string
 	}{
 		{"charge", charge(), Options{},
-			"363ae29f39e7037c01b826a4120f76a616e42a00b0f31256495f84293a15ba35"},
+			"bc04750d267b07d36cc19c59545d61e021ab5f74750ce375b49e53897eb07e98"},
 		{"scenario1 trap dec4", Job{Scenario: harvester.Scenario1(harvester.Quick),
 			Engine: harvester.ExistingTrap, Decimate: 4}, Options{},
-			"97a370c752f4dba67e19a15dc3fdf34843bd08ebadfcaa7aea42a54df377c334"},
+			"91755cf9c38ce297ca911c243a52eb30a42f5d7562db6205db842ae7264b4f7a"},
 		{"scenario2 paper bdf2", Job{Scenario: harvester.Scenario2(harvester.PaperScale),
 			Engine: harvester.ExistingBDF2, Decimate: 1}, Options{},
-			"a9553776d0c90d66cd93d74a8e2459a44d41766ab0eca72b77b7cd52eb3b9dab"},
+			"bc47f6f1211ca68eb5c071f183c9f36f414f2cc3bf2a4f14de0c363f2201dd08"},
 		{"tracking be", Job{Scenario: harvester.TrackingScenario(3, 65, 75),
 			Engine: harvester.ExistingBE}, Options{},
-			"9b31b2d16d593ab93e7e40246b96ca42d5bb6040f32942330c3a55abdc6ad990"},
+			"6ef5fc58a295074801b31a46661d437d58c843e5bfd4b8518a7caf930853af7a"},
 		{"noise 1024 tones", Job{Scenario: noise, Seed: 7}, Options{},
-			"83d149808a96369efc331ed34e69079dc60bd96f30be51a96a85aa9237e450e4"},
+			"a006fc10ab2becd7a79b07395f43c605732ae6dc3b7225c13d3d57d73045165b"},
 		{"noise high seed", Job{Scenario: seeded, Group: "g", Seed: 1<<63 + 5}, Options{},
-			"94be7b3e515a64cb2ad85920eaef64f5196fe8997b2cba9e15bb5c28aff97f8f"},
+			"a84c7cb99a48daa7dc29a761a27730584f27fb800e433df6972a0a4ec29c7c4d"},
 		{"bistable", Job{Scenario: bistable, Engine: harvester.Proposed}, Options{},
-			"1f3605392dd12e117f32fb2f9607e45e35c79521e98dc5d80f3c2daa5d0a4dde"},
+			"b0139986dd3a7d355ab78bd4533d874917c8d8b1a033defc2fc7d3a6bf583078"},
 		{"duffing trap", Job{Scenario: harvester.DuffingScenario(2, harvester.DuffingK3Moderate),
 			Engine: harvester.ExistingTrap}, Options{},
-			"68879853fe33b6c3e701744873bc0f592730bda1519b2f76f482265972cf54fa"},
+			"75de71ec15f9daa1a78aec32d674e8e918f269812cbeeb26a68f2c6ca00e828e"},
 		{"settle 0.25", charge(), Options{SettleFrac: 0.25},
-			"135282a6b865165eca621e57e418a04e84eb96def3068b0a487734b1c42ad61b"},
+			"b0ae3319a66334c69c125f4b0fb327f98c71776ce5da5f386eaa6fd83b0fe0fe"},
 		{"metric key", metric, Options{},
-			"bf4febbb55bf2bb9d695e7a2bf49493f5edb16103132ae5a5dbe59d14bac55f0"},
+			"c1048bc2d3e0c0859599852a2fac320d10ccda8f1321d4d06f9d868e2b18105d"},
 		{"stray metric key", stray, Options{},
-			"363ae29f39e7037c01b826a4120f76a616e42a00b0f31256495f84293a15ba35"},
+			"bc04750d267b07d36cc19c59545d61e021ab5f74750ce375b49e53897eb07e98"},
 	}
 	for _, tc := range cases {
 		if got := KeyOf(tc.job, tc.opt).String(); got != tc.want {

@@ -38,7 +38,8 @@ type Stats struct {
 	YSolves             int     // terminal-variable elimination solves
 	EventsFired         int     // digital event batches fired
 	Restarts            int     // multistep history restarts (discontinuities)
-	StabilityRecomputes int     // reduced-matrix stability analyses
+	StabilityRecomputes int     // reduced-matrix stability analyses, reused ones included
+	StabilityReused     int     // analyses served from the run's stability memo
 	MaxJacChange        float64 // largest relative Jacobian change seen (LLE monitor)
 	HStabMin            float64 // tightest stability cap encountered
 	HMean               float64 // mean accepted step
@@ -55,7 +56,8 @@ type Stats struct {
 // PhaseTimes accumulates wall time per engine refresh phase when a run
 // is traced (Engine.Phases). Refactor covers the Jyy factorisation of
 // every linearisation refresh; Stability covers the reduced-matrix
-// stability analyses. The accumulators are observer-grade: attaching
+// stability analyses: every memo lookup, plus the analyses computed on
+// a miss. The accumulators are observer-grade: attaching
 // them changes no numerical behaviour, and a nil pointer (the default)
 // costs nothing on the warm step.
 type PhaseTimes struct {
@@ -126,12 +128,16 @@ type Engine struct {
 	coefP, coefL  []float64
 	dScale        []float64 // cached balancing scales
 
+	// memo serves repeated Jacobians' stability caps. Begin takes it
+	// from the process-wide store, Finish and Reset hand it back.
+	memo *stabMemo
+
 	hStab      float64 // forward-Euler real-mode cap (diagnostic)
 	hRealFE    float64 // real-mode FE cap from the balanced analysis
 	rhoOsc     float64 // Gershgorin bound on oscillatory-mode |lambda|
 	driftAccum float64 // accumulated Jacobian drift since last analysis
 	sinceStab  int     // refreshes since the last stability analysis
-	scaleAge   int
+	scaleAge   int     // computed analyses under the current balancing scales
 
 	// March state, valid between Begin and Finish.
 	running     bool
@@ -231,8 +237,12 @@ func (e *Engine) refresh(first bool) (relChange float64, err error) {
 	if e.Phases != nil {
 		e.Phases.Refactor += time.Since(phaseStart)
 	}
-	// A first refresh only empties the log.
-	if drift := s.jac.drift(); !first {
+	// A first refresh only empties the log, and starts the run's
+	// varying set and stability memo from the Jacobian it leaves.
+	if drift := s.jac.drift(); first {
+		s.jac.clearVarying()
+		e.memo.empty(0)
+	} else {
 		relChange = drift
 	}
 	e.Stats.Refreshes++
@@ -249,15 +259,17 @@ func (e *Engine) refresh(first bool) (relChange float64, err error) {
 	return relChange, nil
 }
 
-// refreshStability recomputes the reduced state matrix
-// Jxx - Jxy*inv(Jyy)*Jyx and its explicit-integration step caps, then
-// does the bookkeeping (cap tracking, drift reset, stats).
+// refreshStability sets the explicit-integration step caps of the
+// current Jacobian, from the memo or by analysing the reduced state
+// matrix Jxx - Jxy*inv(Jyy)*Jyx, then does the bookkeeping (cap
+// tracking, drift reset, stats), which a reused analysis counts as a
+// computed one does, so the refresh triggers keep their meaning.
 func (e *Engine) refreshStability() error {
 	var phaseStart time.Time
 	if e.Phases != nil {
 		phaseStart = time.Now()
 	}
-	if err := e.computeStability(); err != nil {
+	if err := e.analyse(); err != nil {
 		return err
 	}
 	if e.Phases != nil {
@@ -271,6 +283,35 @@ func (e *Engine) refreshStability() error {
 	e.driftAccum = 0
 	e.sinceStab = 0
 	e.Stats.StabilityRecomputes++
+	return nil
+}
+
+// analyse sets hRealFE and rhoOsc for the current Jacobian: from the
+// memo when the run has met this Jacobian before, by computeStability
+// otherwise. Only computed analyses age the balancing scales, so a run
+// that never repeats a Jacobian keeps the bits it had without the memo.
+func (e *Engine) analyse() error {
+	jac := e.Sys.jac
+	vary, ok := jac.varying()
+	if !ok {
+		return e.computeStability()
+	}
+	m := e.memo
+	if len(vary) != m.width {
+		// A newly varying entry changes every key's shape.
+		m.empty(len(vary))
+	}
+	key, h := m.keyOf(jac.data, vary)
+	slot, hit := m.find(key, h)
+	if hit {
+		e.hRealFE, e.rhoOsc = m.caps[slot][0], m.caps[slot][1]
+		e.Stats.StabilityReused++
+		return nil
+	}
+	if err := e.computeStability(); err != nil {
+		return err
+	}
+	m.store(slot, key, h, e.hRealFE, e.rhoOsc)
 	return nil
 }
 
@@ -376,6 +417,9 @@ func (e *Engine) Begin(t0, tEnd float64) error {
 	e.hist.Reset()
 	e.driftAccum, e.sinceStab = 0, 0
 	e.scaleAge = 1 << 30 // force a balancing-scale recompute
+	if e.memo == nil {
+		e.memo = takeMemo() // emptied by the first refresh below
+	}
 	e.Sys.InitState(e.x)
 	e.t0, e.t, e.tEnd = t0, t0, tEnd
 
@@ -520,6 +564,7 @@ func (e *Engine) Finish() error {
 	for _, o := range e.Observers {
 		o(e.t, e.x, e.y)
 	}
+	e.releaseMemo()
 	if e.Stats.Steps > 0 {
 		e.Stats.HMean = e.hSum / float64(e.Stats.Steps)
 	}
@@ -571,7 +616,17 @@ func (e *Engine) Reset() {
 	if e.ws != nil && e.ws.owner == e {
 		e.ws.owner = nil
 	}
+	e.releaseMemo()
 	e.Sys.ResetLinearisation()
+}
+
+// releaseMemo hands the engine's stability memo back to the process-wide
+// store.
+func (e *Engine) releaseMemo() {
+	if e.memo != nil {
+		putMemo(e.memo)
+		e.memo = nil
+	}
 }
 
 // abUpdate computes the Adams-Bashforth update of the highest available
@@ -658,7 +713,3 @@ func (e *Engine) stabCap() float64 {
 // HStab returns the current raw (forward-Euler) stability step cap
 // before order scaling (diagnostic).
 func (e *Engine) HStab() float64 { return e.hStab }
-
-// Reduced returns the current reduced state matrix (diagnostic; live
-// view, valid until the next refresh).
-func (e *Engine) Reduced() *la.Matrix { return e.red }

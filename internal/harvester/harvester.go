@@ -149,8 +149,10 @@ type Harvester struct {
 	// Energy accounting (trapezoidal integrals over the run).
 	Energy Energy
 
-	lastT, lastPIn, lastPLoad, lastPStore float64
-	haveLast                              bool
+	// The latest observed point: its time, the powers the energy
+	// integrals close on, and the supercap voltage (LastVc).
+	lastT, lastPIn, lastPLoad, lastPStore, lastVc float64
+	haveLast                                      bool
 }
 
 // Energy summarises the run's energy flows [J].
@@ -288,7 +290,7 @@ func (h *Harvester) Reset() {
 	h.ModeTrace.Clear()
 	h.FresTrace.Clear()
 	h.Energy = Energy{}
-	h.lastT, h.lastPIn, h.lastPLoad, h.lastPStore = 0, 0, 0, 0
+	h.lastT, h.lastPIn, h.lastPLoad, h.lastPStore, h.lastVc = 0, 0, 0, 0, 0
 	h.haveLast = false
 	h.initBasin()
 	h.basinSettleT, h.basinSettleSet = 0, false
@@ -390,7 +392,7 @@ func (h *Harvester) Release() { h.Sys.Release() }
 func (h *Harvester) wireMCU() {
 	h.MCU = digital.NewMCU(h.Kernel, h.Cfg.MCU)
 	h.MCU.ReadVc = func(t float64) float64 {
-		return h.lastVc()
+		return h.LastVc()
 	}
 	h.MCU.AmbientHz = func(t float64) float64 {
 		f := h.Meter.Measure(t, h.Cfg.MCU.MeasureTime)
@@ -441,14 +443,14 @@ func (h *Harvester) wireMCU() {
 	h.MCU.Start(0)
 }
 
-// lastVc returns the most recent supercap terminal voltage (from the
-// trace; before the first step, the initial condition).
-func (h *Harvester) lastVc() float64 {
-	if h.VcTrace.Len() == 0 {
+// LastVc returns the supercap terminal voltage at the latest observed
+// point, whatever the trace decimation: after a run, the voltage at the
+// horizon; before the first point, the initial condition.
+func (h *Harvester) LastVc() float64 {
+	if !h.haveLast {
 		return h.Cfg.InitialVc
 	}
-	_, v := h.VcTrace.Last()
-	return v
+	return h.lastVc
 }
 
 // NewEngine builds the chosen analogue engine wired to the digital
@@ -520,10 +522,10 @@ func (h *Harvester) attachProbes(eng Engine, decimate int) {
 			h.Energy.ToStore += dt * (pstore + h.lastPStore) / 2
 			h.Energy.Load += dt * (pload + h.lastPLoad) / 2
 		}
-		h.lastT, h.lastPIn, h.lastPLoad, h.lastPStore = t, pin, pload, pstore
+		h.lastT, h.lastPIn, h.lastPLoad, h.lastPStore, h.lastVc = t, pin, pload, pstore, vc
 		h.haveLast = true
-		// Traces. Vc is recorded undecimated in time but decimated in
-		// sample count; the MCU reads the latest value.
+		// Traces, decimated in sample count. The MCU reads LastVc, not
+		// the trace, so decimation cannot change what it sees.
 		vcDec.Append(t, vc)
 		pDec.Append(t, pin)
 		psDec.Append(t, pstore)

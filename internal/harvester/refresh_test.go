@@ -1,6 +1,8 @@
 package harvester
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"harvsim/internal/blocks"
@@ -11,11 +13,32 @@ import (
 // counters.
 func proposedStats(t *testing.T, sc Scenario) core.Stats {
 	t.Helper()
-	_, eng, err := RunScenario(sc, Proposed, 1<<20)
+	s, _ := proposedRun(t, sc, 1<<20)
+	return s
+}
+
+// proposedRun runs sc under the proposed engine at the given trace
+// decimation and returns its counters and the bits of its final state.
+func proposedRun(t *testing.T, sc Scenario, decimate int) (core.Stats, []uint64) {
+	t.Helper()
+	_, eng, err := RunScenario(sc, Proposed, decimate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng.(*core.Engine).Stats
+	var bits []uint64
+	for _, v := range eng.State() {
+		bits = append(bits, math.Float64bits(v))
+	}
+	return eng.(*core.Engine).Stats, bits
+}
+
+// scenario1Short is Table II scenario 1 cut to 3 s, with the frequency
+// shift moved to 1.5 s.
+func scenario1Short() Scenario {
+	sc := Scenario1(Quick)
+	sc.Duration = 3
+	sc.Shifts = []FreqShift{{T: 1.5, Hz: 71}}
+	return sc
 }
 
 // TestChargeCountersUnmoved: the Table I charge never takes a diode into
@@ -24,7 +47,7 @@ func proposedStats(t *testing.T, sc Scenario) core.Stats {
 func TestChargeCountersUnmoved(t *testing.T) {
 	s := proposedStats(t, ChargeScenario(2))
 	got := [4]int{s.Steps, s.Refreshes, s.StabilityRecomputes, s.YSolves}
-	if want := [4]int{14079, 11216, 9431, 22349}; got != want {
+	if want := [4]int{14011, 11318, 9468, 22249}; got != want {
 		t.Fatalf("charge steps, refreshes, stability analyses, solves = %v, want %v", got, want)
 	}
 }
@@ -35,10 +58,7 @@ func TestChargeCountersUnmoved(t *testing.T) {
 // (0.95 on the uniform table), and its step count stays within 0.1% of
 // the uniform table's 20,671.
 func TestScenario1RefreshEconomy(t *testing.T) {
-	sc := Scenario1(Quick)
-	sc.Duration = 3
-	sc.Shifts = []FreqShift{{T: 1.5, Hz: 71}}
-	s := proposedStats(t, sc)
+	s := proposedStats(t, scenario1Short())
 	if r := float64(s.Refreshes) / float64(s.Steps); r >= 0.6 {
 		t.Errorf("%.3f refreshes per step (%d over %d steps), want < 0.6", r, s.Refreshes, s.Steps)
 	}
@@ -66,4 +86,59 @@ func TestScenarioHashNamesDiodeGrid(t *testing.T) {
 		return
 	}
 	t.Fatalf("no grid of %d..%d cells merges to %d segments", cells+1, cells+63, segs)
+}
+
+// TestNoRepeatRunsUnmoved: runs that never meet a Jacobian twice get
+// nothing from the stability memo, and lose nothing to it either: their
+// steps, refreshes, stability analyses, solves and final state are
+// those of the engine without the memo, bit for bit.
+func TestNoRepeatRunsUnmoved(t *testing.T) {
+	duffing := NoiseScenario(2, 55, 85, 42)
+	duffing.Cfg.VibNoise.RMS = 2
+	duffing.Cfg.Microgen.K3 = DuffingK3Strong
+	cases := []struct {
+		name  string
+		sc    Scenario
+		count [4]int
+		state []uint64
+	}{
+		{"duffing-noise", duffing, [4]int{13769, 19420, 6467, 19591}, []uint64{
+			0x3f1713e2707c3094, 0xbfad1f2793f3a3c6, 0x3fdf8ca67e490f93, 0x3ff00b789a9e1d15, 0x3ff7f4f0bac56b26,
+			0x40000e9c88b4df94, 0x4003fff87af7be59, 0x4003ffff02260a18, 0x4003fffff89f0391, 0x4003ffffff6a3efa}},
+		{"bistable", BistableScenario(2, BistableWellM, BistableBarrierJ, 120, -3.4e4, 8, 40, 7),
+			[4]int{13951, 12331, 4273, 14259}, []uint64{
+				0xbf41035716d76e56, 0xbfb040dc5500dd0d, 0x3fdfff6b892b58a6, 0x3ff000253b94ad5d, 0x3ff7ffdac3e902e6,
+				0x400000126b00abaa, 0x4003fff27fa6ad14, 0x4003fff901fdf7f1, 0x4003ffffc79ccbe7, 0x4003fffffb86100a}},
+	}
+	for _, c := range cases {
+		s, state := proposedRun(t, c.sc, 1)
+		if s.StabilityReused != 0 {
+			t.Errorf("%s: %d analyses reused, want 0 (a run without repeats)", c.name, s.StabilityReused)
+		}
+		if got := [4]int{s.Steps, s.Refreshes, s.StabilityRecomputes, s.YSolves}; got != c.count {
+			t.Errorf("%s: steps, refreshes, stability analyses, solves = %v, want %v", c.name, got, c.count)
+		}
+		if !slices.Equal(state, c.state) {
+			t.Errorf("%s: final state bits %x, want %x", c.name, state, c.state)
+		}
+	}
+}
+
+// TestRecycledMemoRunsFresh: the stability memo's storage is recycled
+// across engines, and a charge run on the storage a scenario-1 run just
+// handed back equals one on the storage before it, bit for bit: nothing
+// of one run's memo reaches the next.
+func TestRecycledMemoRunsFresh(t *testing.T) {
+	first, firstState := proposedRun(t, ChargeScenario(2), 1<<20)
+	if s1 := proposedStats(t, scenario1Short()); s1.StabilityReused == 0 {
+		t.Fatal("test premise broken: the scenario-1 run reused no analysis")
+	}
+	again, againState := proposedRun(t, ChargeScenario(2), 1<<20)
+	if first.StabilityReused == 0 {
+		t.Fatal("test premise broken: the charge reused no analysis")
+	}
+	if again != first || !slices.Equal(againState, firstState) {
+		t.Fatalf("charge after scenario 1: stats %+v, state %x; before it: %+v, %x",
+			again, againState, first, firstState)
+	}
 }
