@@ -7,23 +7,13 @@
 //	benchtab -only xengine  # cross-engine conformance tables
 //	benchtab -full          # paper-scale scenario horizons (slow!)
 //	benchtab -table1-sim 30
-//	benchtab -json          # Table I/II + xengine as a benchfmt report
-//
-// With -json the Table I, Table II and cross-engine results are emitted
-// as one machine-readable JSON document in the internal/benchfmt schema
-// — the same format as the committed BENCH_*.json baselines the CI bench
-// gate (cmd/benchgate) enforces — so snapshots from either source diff
-// against each other directly.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
-	"harvsim/internal/benchfmt"
 	"harvsim/internal/exp"
 	"harvsim/internal/harvester"
 )
@@ -36,7 +26,6 @@ func main() {
 		ablSim    = flag.Float64("ablation-sim", 3, "simulated span for the ablations [s]")
 		xengSim   = flag.Float64("xengine-sim", 2, "simulated span for the cross-engine conformance charge [s]")
 		workers   = flag.Int("workers", 0, "batch worker-pool size for xengine (0 = GOMAXPROCS)")
-		asJSON    = flag.Bool("json", false, "emit Table I/II and xengine results as a benchfmt JSON report")
 	)
 	flag.Parse()
 
@@ -55,110 +44,47 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchtab: -only %q names no experiment (want table1, table2, fig8a, fig8b, fig9, ablations or xengine)\n", *only)
 		os.Exit(2)
 	}
-	if *asJSON {
-		switch *only {
-		case "", "table1", "table2", "xengine":
-		default:
-			fmt.Fprintf(os.Stderr, "benchtab: -json covers table1, table2 and xengine; %q has no JSON form\n", *only)
-			os.Exit(2)
-		}
-	}
-
-	report := benchfmt.NewReport()
-	report.GoVersion = runtime.Version()
-	addRun := func(name string, run exp.EngineRun) {
-		report.Benchmarks = append(report.Benchmarks, benchfmt.Benchmark{
-			Name:        name,
-			Runs:        1,
-			NsPerOp:     float64(run.CPUTime.Nanoseconds()),
-			AllocsPerOp: float64(run.Stats.Allocs),
-			BytesPerOp:  float64(run.Stats.AllocBytes),
-			Metrics: map[string]float64{
-				"steps":     float64(run.Steps),
-				"sim_s":     run.SimTime,
-				"hmean_s":   run.HMeanSec,
-				"refactors": float64(run.Stats.Refactors),
-				"solves":    float64(run.Stats.Solves),
-			},
-		})
-	}
-	addConformance := func(prefix string, res exp.ConformanceResult) {
-		for _, row := range res.Rows {
-			if row.Err != nil {
-				continue
-			}
-			report.Benchmarks = append(report.Benchmarks, benchfmt.Benchmark{
-				Name:    prefix + "/" + row.Engine.String(),
-				Runs:    1,
-				NsPerOp: float64(row.Wall.Nanoseconds()),
-				Metrics: map[string]float64{
-					"steps":      float64(row.Steps),
-					"hmax_s":     row.HMax,
-					"final_vc_v": row.FinalVc,
-					"rms_pin_w":  row.RMSPower,
-					"dvc_v":      row.DVc,
-					"dpow_rel":   row.DPowRel,
-				},
-			})
-		}
-	}
-
 	if want("table1") {
 		res, err := exp.Table1(*table1Sim)
 		if err != nil {
 			fail(err)
 		}
-		if *asJSON {
-			for _, row := range res.Rows {
-				addRun("Table1/"+row.Simulator, row.Run)
-			}
-		} else {
-			fmt.Println(res.String())
-			// Extrapolations to a paper-scale 4-hour charge.
-			const fullCharge = 4 * 3600.0
-			fmt.Println("extrapolated to a 4 h simulated charge:")
-			for _, row := range res.Rows {
-				fmt.Printf("  %-24s %s\n", row.Simulator, exp.FormatDuration(row.Run.ExtrapolateTo(fullCharge)))
-			}
-			fmt.Println()
+		fmt.Println(res.String())
+		// Extrapolations to a paper-scale 4-hour charge.
+		const fullCharge = 4 * 3600.0
+		fmt.Println("extrapolated to a 4 h simulated charge:")
+		for _, row := range res.Rows {
+			fmt.Printf("  %-24s %s\n", row.Simulator, exp.FormatDuration(row.Run.ExtrapolateTo(fullCharge)))
 		}
+		fmt.Println()
 	}
 	if want("table2") {
 		res, err := exp.Table2(fid)
 		if err != nil {
 			fail(err)
 		}
-		if *asJSON {
-			for _, row := range res.Rows {
-				addRun("Table2/"+row.Scenario+"/existing", row.Existing)
-				addRun("Table2/"+row.Scenario+"/proposed", row.Proposed)
-			}
-		} else {
-			fmt.Println(res.String())
-		}
+		fmt.Println(res.String())
 	}
-	if !*asJSON {
-		if want("fig8a") {
-			res, err := exp.Fig8a(fid)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(res.String())
+	if want("fig8a") {
+		res, err := exp.Fig8a(fid)
+		if err != nil {
+			fail(err)
 		}
-		if want("fig8b") {
-			res, err := exp.Fig8b(fid)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(res.String())
+		fmt.Println(res.String())
+	}
+	if want("fig8b") {
+		res, err := exp.Fig8b(fid)
+		if err != nil {
+			fail(err)
 		}
-		if want("fig9") {
-			res, err := exp.Fig9(fid)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(res.String())
+		fmt.Println(res.String())
+	}
+	if want("fig9") {
+		res, err := exp.Fig9(fid)
+		if err != nil {
+			fail(err)
 		}
+		fmt.Println(res.String())
 	}
 	if want("xengine") {
 		// The agreement tables the benchmarks can't provide: the same
@@ -172,15 +98,10 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if *asJSON {
-			addConformance("XEngine/charge", charge)
-			addConformance("XEngine/scenario1", sc1)
-		} else {
-			fmt.Println(charge.String())
-			fmt.Println(sc1.String())
-		}
+		fmt.Println(charge.String())
+		fmt.Println(sc1.String())
 	}
-	if !*asJSON && want("ablations") {
+	if want("ablations") {
 		for _, run := range []func(float64) (exp.AblationResult, error){
 			exp.AblationABOrder, exp.AblationPWL, exp.AblationStability, exp.AblationAccuracy,
 		} {
@@ -189,14 +110,6 @@ func main() {
 				fail(err)
 			}
 			fmt.Println(res.String())
-		}
-	}
-	if *asJSON {
-		report.Sort()
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fail(err)
 		}
 	}
 }

@@ -1,9 +1,7 @@
 // Package benchfmt defines the machine-readable benchmark-report format
-// shared by every performance artefact in the repo: the committed
-// BENCH_*.json regression baselines, the CI bench gate (cmd/benchgate)
-// and cmd/benchtab's -json output all speak this one schema, so a
-// baseline can be diffed against either a `go test -bench` run or a
-// benchtab table without translation.
+// of the committed BENCH_*.json regression baselines: the CI bench gate
+// (cmd/benchgate) converts a `go test -bench` run into this one schema
+// and diffs it against a baseline without translation.
 package benchfmt
 
 import (
@@ -24,8 +22,7 @@ const Schema = "harvsim-bench/v1"
 
 // Benchmark is one measured workload. NsPerOp/AllocsPerOp/BytesPerOp
 // mirror `go test -bench -benchmem`; Metrics carries any additional
-// named values (custom b.ReportMetric units, benchtab counters such as
-// steps or refactorisations).
+// named values (custom b.ReportMetric units).
 type Benchmark struct {
 	Name    string  `json:"name"`
 	Runs    int     `json:"runs,omitempty"`

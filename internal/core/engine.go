@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"harvsim/internal/la"
@@ -44,13 +43,6 @@ type Stats struct {
 	HStabMin            float64 // tightest stability cap encountered
 	HMean               float64 // mean accepted step
 	SimTime             float64 // simulated span
-
-	// Allocs/AllocBytes are the process-wide heap allocation count and
-	// bytes attributed to the run, populated only when Engine.MeasureAllocs
-	// is set. They are exact for a run with no concurrent allocation (the
-	// serial benchtab path) and an upper bound otherwise.
-	Allocs     uint64
-	AllocBytes uint64
 }
 
 // PhaseTimes accumulates wall time per engine refresh phase when a run
@@ -81,22 +73,11 @@ type Engine struct {
 	// step is halved. Default 0.5.
 	LLETol float64
 
-	// ResolveSegments enables one extra linearise/solve pass per step
-	// when the freshly solved terminal variables land on a different PWL
-	// segment than the one used for the linearisation. Default true.
-	ResolveSegments bool
-
 	// StabilityFactor scales the stability step cap (default 1.0).
 	// Values above 1 deliberately violate the diagonal-dominance bound —
 	// used by the stability ablation to demonstrate the divergence the
 	// paper's Eq. 7 predicts.
 	StabilityFactor float64
-
-	// MeasureAllocs makes Run record the heap allocations attributed to
-	// the run in Stats.Allocs/AllocBytes (two runtime.ReadMemStats calls
-	// per Run — cheap for single runs, but process-wide, so leave it off
-	// inside concurrent batch workers).
-	MeasureAllocs bool
 
 	// Phases, when set, accumulates wall time spent in the engine's two
 	// expensive refresh phases — Jyy refactorisation and the reduced-
@@ -144,19 +125,16 @@ type Engine struct {
 	t0, t, tEnd float64
 	h, hSum     float64
 	shrinkNext  float64
-	allocsBase  uint64
-	allocBytes0 uint64
 }
 
 // NewEngine returns an engine for the (built or unbuilt) system with
 // default controller settings.
 func NewEngine(sys *System) *Engine {
 	return &Engine{
-		Sys:             sys,
-		Ctl:             ode.DefaultController(),
-		Order:           4,
-		LLETol:          0.5,
-		ResolveSegments: true,
+		Sys:    sys,
+		Ctl:    ode.DefaultController(),
+		Order:  4,
+		LLETol: 0.5,
 	}
 }
 
@@ -404,11 +382,6 @@ func (e *Engine) Begin(t0, tEnd float64) error {
 		return err
 	}
 	e.Stats = Stats{HStabMin: math.Inf(1)}
-	if e.MeasureAllocs {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		e.allocsBase, e.allocBytes0 = m.Mallocs, m.TotalAlloc
-	}
 	// Reused storage carries the previous run's values; clear everything
 	// the first linearisation reads so a reused run is bit-identical to a
 	// fresh one.
@@ -430,7 +403,8 @@ func (e *Engine) Begin(t0, tEnd float64) error {
 	if err := e.solveY(); err != nil {
 		return err
 	}
-	if e.ResolveSegments && e.Sys.Linearise(e.t, e.x, e.y) {
+	// The second linearise pass, as in Step.
+	if e.Sys.Linearise(e.t, e.x, e.y) {
 		if _, err := e.refresh(true); err != nil {
 			return err
 		}
@@ -468,11 +442,14 @@ func (e *Engine) Step() (done bool, err error) {
 			e.shrinkNext = 0.5
 		}
 	}
-	// 2. Eliminate the non-state variables (Eq. 4).
+	// 2. Eliminate the non-state variables (Eq. 4). When the solved
+	// terminals land on a different PWL segment than the one linearised,
+	// a second pass re-linearises and re-solves, so the step starts from
+	// a consistent point.
 	if err := e.solveY(); err != nil {
 		return false, err
 	}
-	if e.ResolveSegments && e.Sys.Linearise(e.t, e.x, e.y) {
+	if e.Sys.Linearise(e.t, e.x, e.y) {
 		if _, err := e.refresh(false); err != nil {
 			return false, err
 		}
@@ -569,12 +546,6 @@ func (e *Engine) Finish() error {
 		e.Stats.HMean = e.hSum / float64(e.Stats.Steps)
 	}
 	e.Stats.SimTime = e.tEnd - e.t0
-	if e.MeasureAllocs {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		e.Stats.Allocs = m.Mallocs - e.allocsBase
-		e.Stats.AllocBytes = m.TotalAlloc - e.allocBytes0
-	}
 	return nil
 }
 

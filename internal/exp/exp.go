@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"harvsim/internal/batch"
-	"harvsim/internal/core"
 	"harvsim/internal/harvester"
 	"harvsim/internal/trace"
 )
@@ -66,17 +65,14 @@ func (r EngineRun) ExtrapolateTo(simTime float64) time.Duration {
 }
 
 // runTimed executes a scenario under one engine and captures its CPU
-// time plus the unified per-run counters (steps, refactorisations, solves, and —
-// for the proposed engine, which runs serially here — heap allocations).
+// time plus the unified per-run counters (steps, refactorisations,
+// solves).
 func runTimed(label string, sc harvester.Scenario, kind harvester.EngineKind, decimate int) (EngineRun, *harvester.Harvester, error) {
 	h := harvester.New(sc.Cfg)
 	if err := h.Schedule(sc); err != nil {
 		return EngineRun{}, nil, fmt.Errorf("exp: %s: %w", label, err)
 	}
 	eng := h.NewEngine(kind, decimate)
-	if ce, ok := eng.(*core.Engine); ok {
-		ce.MeasureAllocs = true
-	}
 	c0 := cpuNow()
 	err := h.RunEngine(eng, sc.Duration)
 	elapsed := cpuNow() - c0

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"harvsim/internal/tracing"
 	"harvsim/internal/wire"
 )
 
@@ -291,51 +292,137 @@ func TestStreamFromBeyondEnd(t *testing.T) {
 	}
 }
 
-// TestStreamMonitorExitsOnDisconnect: the per-request monitor goroutine
-// (and the handler itself) must exit when the client goes away while
-// the run is still open — otherwise every dropped long-poll leaks two
-// goroutines for the life of the sweep.
+// TestStreamMonitorExitsOnDisconnect: a stream handler blocked on an
+// open run (result stream and trace stream alike) must exit when the
+// client goes away — otherwise every dropped long-poll leaks goroutines
+// for the life of the sweep.
 func TestStreamMonitorExitsOnDisconnect(t *testing.T) {
-	srv := New(Options{})
+	for _, route := range []string{"stream", "trace"} {
+		t.Run(route, func(t *testing.T) {
+			srv := New(Options{})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+
+			// A run that never finishes: the stream can only terminate via
+			// client disconnect.
+			run := srv.runs.New(1, func() {})
+			run.Trace = tracing.New("", 0)
+
+			before := runtime.NumGoroutine()
+			const clients = 4
+			ctx, cancel := context.WithCancel(context.Background())
+			errs := make(chan error, clients)
+			for i := 0; i < clients; i++ {
+				go func() {
+					req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+run.ID+"/"+route, nil)
+					resp, err := http.DefaultClient.Do(req)
+					if err == nil {
+						// Blocks until the context cancels the request.
+						_, err = io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+					}
+					errs <- err
+				}()
+			}
+			// Let the handlers reach their wait before disconnecting.
+			time.Sleep(100 * time.Millisecond)
+			cancel()
+			for i := 0; i < clients; i++ {
+				<-errs
+			}
+
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if g := runtime.NumGoroutine(); g <= before {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines %d -> %d: stream handlers leaked after disconnect",
+						before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestAdmissionFollowsAcceptanceOrder: with one slot, the sweep accepted
+// first runs first, even when the sweep accepted after it reaches the
+// queue first. Sweeps are admitted in acceptance order, not in the
+// order their goroutines happen to run.
+func TestAdmissionFollowsAcceptanceOrder(t *testing.T) {
+	srv := New(Options{MaxActive: 1, Workers: 1})
+	req := wire.SweepRequest{Spec: wire.Spec{
+		Scenario: wire.Scenario{Kind: "charge", DurationS: 0.25},
+		Axes:     []wire.Axis{{Kind: wire.AxisInt, Param: "dickson.stages", Ints: []int{3, 4}}},
+	}}
+	spec, err := req.Spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	execA := srv.plan(nil, nil, req, jobs)
+	execB := srv.plan(nil, nil, req, jobs)
+	runA := srv.runs.New(len(jobs), func() {})
+	runB := srv.runs.New(len(jobs), func() {})
+
+	// A's jobs are all recorded before A's exec releases its slot, so B,
+	// admitted after A, can only return once A's results are complete.
+	doneB := make(chan int, 1)
+	go func() {
+		execB(context.Background(), runB, nil)
+		doneB <- len(runA.Results())
+	}()
+	time.Sleep(50 * time.Millisecond)
+	doneA := make(chan struct{})
+	go func() {
+		execA(context.Background(), runA, nil)
+		close(doneA)
+	}()
+	if n := <-doneB; n != len(jobs) {
+		t.Fatalf("sweep B finished with %d of sweep A's %d jobs done; the sweep accepted first must be admitted first", n, len(jobs))
+	}
+	<-doneA
+}
+
+// TestStatusDoneListsEveryResult polls a running sweep's status with
+// ?results=1: whenever it reads done, every job is completed and every
+// result is listed.
+func TestStatusDoneListsEveryResult(t *testing.T) {
+	srv := New(Options{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// A run that never finishes: the stream can only terminate via
-	// client disconnect.
-	run := srv.runs.New(1, func() {})
-
-	before := runtime.NumGoroutine()
-	const clients = 4
-	ctx, cancel := context.WithCancel(context.Background())
-	errs := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		go func() {
-			req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+run.ID+"/stream", nil)
-			resp, err := http.DefaultClient.Do(req)
-			if err == nil {
-				// Blocks until the context cancels the request.
-				_, err = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
+	acc := postSweep(t, ts, wire.SweepRequest{Spec: grid64Spec(0.25)})
+	deadline := time.Now().Add(60 * time.Second)
+	for polls := 1; ; polls++ {
+		var st wire.JobStatus
+		getJSON(t, ts, "/v1/jobs/"+acc.ID+"?results=1", &st)
+		if st.Completed > st.Jobs {
+			t.Fatalf("poll %d: completed %d of %d jobs", polls, st.Completed, st.Jobs)
+		}
+		if st.State == wire.StateDone {
+			if st.Completed != st.Jobs || len(st.Results) != st.Jobs {
+				t.Fatalf("poll %d reads done with completed %d and %d results listed, of %d jobs",
+					polls, st.Completed, len(st.Results), st.Jobs)
 			}
-			errs <- err
-		}()
-	}
-	// Let the handlers reach their cond.Wait before disconnecting.
-	time.Sleep(100 * time.Millisecond)
-	cancel()
-	for i := 0; i < clients; i++ {
-		<-errs
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= before {
+			seen := make(map[int]bool, st.Jobs)
+			for _, r := range st.Results {
+				seen[r.Index] = true
+			}
+			if len(seen) != st.Jobs {
+				t.Fatalf("done status lists %d distinct indices of %d jobs", len(seen), st.Jobs)
+			}
 			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines %d -> %d: stream handlers/monitors leaked after disconnect",
-				before, runtime.NumGoroutine())
+		if len(st.Results) != 0 {
+			t.Fatalf("poll %d lists %d results before done", polls, len(st.Results))
 		}
-		time.Sleep(10 * time.Millisecond)
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep still %q after %d polls", st.State, polls)
+		}
 	}
 }

@@ -8,15 +8,15 @@ import (
 	"sync"
 	"time"
 
+	"harvsim/internal/linelog"
 	"harvsim/internal/tracing"
 	"harvsim/internal/wire"
 )
 
 // Run is one submitted sweep's lifecycle state: the front owns it and
-// an executor (local pool or shard fan-out) records into it. results
-// accumulates in completion order (the stream order); done flips
-// exactly once, after the last result is recorded. cond (over mu)
-// wakes streamers on every append and on completion.
+// an executor (local pool or shard fan-out) records into it. Its result
+// lines accumulate in completion order (the stream order) in one
+// unbounded log, which Finish seals after storing the summary line.
 type Run struct {
 	ID      string
 	Total   int
@@ -27,75 +27,76 @@ type Run struct {
 	// so handlers read it without the run lock.
 	Trace *tracing.Recorder
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	results []wire.Result
-	failed  int
-	hits    int
-	shared  int
-	done    bool
+	lines *linelog.Log[wire.Result]
+
+	mu      sync.Mutex // guards summary
 	summary wire.Summary
 }
 
 // Record appends one completed job's wire result (called concurrently
-// from every worker / every shard stream).
-func (run *Run) Record(r wire.Result) {
-	run.mu.Lock()
-	run.results = append(run.results, r)
-	if r.Error != "" {
-		run.failed++
-	}
-	if r.Cached {
-		run.hits++
-	}
-	if r.Shared {
-		run.shared++
-	}
-	run.mu.Unlock()
-	run.cond.Broadcast()
-}
+// from every worker / every shard stream). Each index is recorded once,
+// so MaxJobs bounds the log.
+func (run *Run) Record(r wire.Result) { run.lines.Append(r) }
 
-// Finish marks the run complete with its summary line.
+// Finish marks the run complete with its summary line. The summary is
+// stored before the seal, so whoever sees the seal reads it.
 func (run *Run) Finish(summary wire.Summary) {
 	run.mu.Lock()
 	run.summary = summary
-	run.done = true
 	run.mu.Unlock()
-	run.cond.Broadcast()
+	run.lines.Seal()
 }
 
 // Done reports completion.
-func (run *Run) Done() bool {
+func (run *Run) Done() bool { return run.lines.Sealed() }
+
+// Results returns the recorded lines in completion order: a view of the
+// log that the caller must not write.
+func (run *Run) Results() []wire.Result {
+	lines, _, _ := run.lines.Since(0)
+	return lines
+}
+
+// finalSummary returns the summary line of a finished run.
+func (run *Run) finalSummary() wire.Summary {
 	run.mu.Lock()
 	defer run.mu.Unlock()
-	return run.done
+	return run.summary
 }
 
 // Status snapshots the run as a wire.JobStatus; withResults includes the
-// completion-ordered result list when done.
+// completion-ordered result list when done. The lines and the seal are
+// read at one instant, so a status that reads done lists every result.
 func (run *Run) Status(withResults bool) wire.JobStatus {
-	run.mu.Lock()
-	defer run.mu.Unlock()
+	lines, _, done := run.lines.Since(0)
 	st := wire.JobStatus{
 		V:         wire.Version,
 		ID:        run.ID,
 		State:     wire.StateRunning,
 		Jobs:      run.Total,
-		Completed: len(run.results),
-		Failed:    run.failed,
-		CacheHits: run.hits,
-		Shared:    run.shared,
+		Completed: len(lines),
 		ElapsedMS: time.Since(run.Started).Milliseconds(),
 	}
-	if run.done {
+	for _, r := range lines {
+		if r.Error != "" {
+			st.Failed++
+		}
+		if r.Cached {
+			st.CacheHits++
+		}
+		if r.Shared {
+			st.Shared++
+		}
+	}
+	if done {
+		sum := run.finalSummary()
 		st.State = wire.StateDone
 		// End-to-end elapsed: queue wait plus execution wall (they are
 		// reported separately in the summary).
-		st.ElapsedMS = run.summary.QueuedMS + run.summary.WallMS
-		sum := run.summary
+		st.ElapsedMS = sum.QueuedMS + sum.WallMS
 		st.Summary = &sum
 		if withResults {
-			st.Results = append([]wire.Result(nil), run.results...)
+			st.Results = append([]wire.Result(nil), lines...)
 		}
 	}
 	return st
@@ -148,8 +149,7 @@ func (rs *runs) New(total int, cancel context.CancelFunc) *Run {
 	rs.mu.Lock()
 	rs.seq++
 	id := rs.prefix + strconv.FormatInt(rs.seq, 10)
-	run := &Run{ID: id, Total: total, Started: time.Now(), Cancel: cancel}
-	run.cond = sync.NewCond(&run.mu)
+	run := &Run{ID: id, Total: total, Started: time.Now(), Cancel: cancel, lines: linelog.New[wire.Result](0)}
 	rs.jobs[run.ID] = run
 	rs.mu.Unlock()
 	return run
@@ -205,90 +205,39 @@ func (rs *runs) Active() int {
 // replay instead, which is how a client (or the shard coordinator's
 // retry path) resumes a stream that died after n lines without paying
 // for — or double-counting — what it already has. Large grids render
-// progressively because each line is flushed as written.
+// progressively because each chunk is flushed as written.
 func serveStream(w http.ResponseWriter, r *http.Request, run *Run) {
-	next := 0
-	if from := r.URL.Query().Get("from"); from != "" {
-		n, err := strconv.Atoi(from)
-		if err != nil || n < 0 {
-			WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, false,
-				"from must be a non-negative integer, got %q", from)
-			return
-		}
-		next = n
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	// A disconnecting client must unblock the cond wait below. The
-	// monitor takes run.mu before broadcasting so the wake-up cannot slip
-	// into the gap between the loop's ctx.Err() check and its
-	// cond.Wait registration (a lost wake-up would strand the handler
-	// until the sweep's next result).
-	ctx := r.Context()
-	go func() {
-		<-ctx.Done()
-		run.mu.Lock()
-		//lint:ignore SA2001 empty critical section on purpose: it
-		// serialises with the check-then-Wait window before waking.
-		run.mu.Unlock()
-		run.cond.Broadcast()
-	}()
-
-	for {
-		run.mu.Lock()
-		for next >= len(run.results) && !run.done && ctx.Err() == nil {
-			run.cond.Wait()
-		}
-		var chunk []wire.Result
-		if next < len(run.results) {
-			chunk = run.results[next:len(run.results):len(run.results)]
-		}
-		next += len(chunk)
-		done := run.done && next >= len(run.results)
-		summary := run.summary
-		run.mu.Unlock()
-
-		if ctx.Err() != nil {
-			return
-		}
-		for _, line := range chunk {
-			if enc.Encode(line) != nil {
-				return // client went away
-			}
-		}
-		if done {
-			enc.Encode(summary)
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return
-		}
-		if flusher != nil && len(chunk) > 0 {
-			flusher.Flush()
-		}
-	}
+	serveLines(w, r, run.lines,
+		func(res *wire.Result) any { return res },
+		func() any { return run.finalSummary() })
 }
 
 // serveTrace replays a sweep's flight recorder as NDJSON — one
 // wire.SpanLine per finished span, with the same ?from=<n> cursor
 // semantics the result streams use (a resuming client skips the first n
-// spans of the absolute sequence; a cursor behind the ring's eviction
+// spans of the absolute sequence; a cursor behind the log's eviction
 // horizon is clamped forward). The stream stays open while the sweep
 // runs, delivering spans as they finish, and terminates once the
 // recorder is sealed and fully drained. A coordinator's recorder spans
 // the whole fleet (worker spans are imported as each shard completes).
 // A sweep submitted without a trace id has no recorder and reports 404.
 func serveTrace(w http.ResponseWriter, r *http.Request, run *Run) {
-	rec := run.Trace
-	if rec == nil {
+	if run.Trace == nil {
 		WriteError(w, http.StatusNotFound, wire.CodeNotFound, false,
 			"job %q was not traced (submit with a \"trace\" id)", run.ID)
 		return
 	}
+	serveLines(w, r, run.Trace.Spans(),
+		func(s *tracing.Span) any { return wire.SpanLineOf(*s) },
+		nil)
+}
+
+// serveLines streams a log as NDJSON from the absolute ?from=<n> cursor
+// on: line renders each entry as it is appended, every chunk is flushed
+// as written, and once the log is sealed and drained the trailer's line
+// (when trailer is non-nil) ends the stream. A client that goes away
+// ends it early.
+func serveLines[T any](w http.ResponseWriter, r *http.Request, lines *linelog.Log[T], line func(*T) any, trailer func() any) {
 	var from int64
 	if q := r.URL.Query().Get("from"); q != "" {
 		n, err := strconv.ParseInt(q, 10, 64)
@@ -303,34 +252,26 @@ func serveTrace(w http.ResponseWriter, r *http.Request, run *Run) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	// A disconnecting client must unblock the Next wait; Interrupt
-	// serialises with its check-then-wait window, so the wake-up cannot
-	// be lost.
-	ctx := r.Context()
-	stop := func() bool { return ctx.Err() != nil }
-	go func() {
-		<-ctx.Done()
-		rec.Interrupt()
-	}()
-
-	for {
-		spans, next, done := rec.Next(from, stop)
-		if ctx.Err() != nil {
-			return
-		}
-		from = next
-		for _, s := range spans {
-			if enc.Encode(wire.SpanLineOf(s)) != nil {
-				return // client went away
-			}
-		}
-		if flusher != nil && (len(spans) > 0 || done) {
+	flush := func() {
+		if flusher != nil {
 			flusher.Flush()
 		}
-		if done {
-			return
-		}
 	}
+	enc := json.NewEncoder(w)
+	err := lines.Follow(r.Context(), from, func(chunk []T) error {
+		for i := range chunk {
+			if err := enc.Encode(line(&chunk[i])); err != nil {
+				return err // client went away
+			}
+		}
+		flush()
+		return nil
+	})
+	if err != nil {
+		return
+	}
+	if trailer != nil {
+		enc.Encode(trailer())
+	}
+	flush()
 }

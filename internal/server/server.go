@@ -53,6 +53,7 @@ import (
 	"context"
 	"net/http"
 	"runtime"
+	"sync"
 	"time"
 
 	"harvsim/internal/batch"
@@ -95,6 +96,13 @@ type Server struct {
 	sem     chan struct{}
 	metrics *serverMetrics
 	batchM  *batch.Metrics
+
+	// lineMu guards last, the turn of the most recently accepted sweep:
+	// closed once that sweep has taken a slot or left the queue. Each
+	// sweep waits for its predecessor's turn before it tries for a slot,
+	// so sweeps are admitted in acceptance order.
+	lineMu sync.Mutex
+	last   chan struct{}
 }
 
 // New builds a server. The cache (Options.Cache or a fresh in-memory
@@ -109,7 +117,9 @@ func New(opt Options) *Server {
 		cache: opt.Cache,
 		pools: batch.NewPoolCache(),
 		sem:   make(chan struct{}, opt.MaxActive),
+		last:  make(chan struct{}),
 	}
+	close(s.last)
 	if s.cache == nil {
 		s.cache = batch.NewCache(0)
 	}
@@ -144,8 +154,9 @@ func (s *Server) WatchExecP99(bound float64) {
 	s.Alerts().Watch("exec_p99_seconds", bound, func() float64 { return s.metrics.execSeconds.Quantile(0.99) })
 }
 
-// plan is the local executor. It clamps the request's worker pool and
-// returns the Exec that waits for a MaxActive slot and runs the jobs
+// plan is the local executor. It clamps the request's worker pool, puts
+// the sweep in line behind the one accepted before it, and returns the
+// Exec that waits for a MaxActive slot in that order and runs the jobs
 // through batch.Run. The root span's queue/exec children split the same
 // clock the summary's QueuedMS/WallMS report.
 func (s *Server) plan(_ http.ResponseWriter, _ *http.Request, req wire.SweepRequest, jobs []batch.Job) Exec {
@@ -161,15 +172,32 @@ func (s *Server) plan(_ http.ResponseWriter, _ *http.Request, req wire.SweepRequ
 	if req.Workers > 0 && req.Workers < workerCap {
 		workers = req.Workers
 	}
+	turn := make(chan struct{})
+	s.lineMu.Lock()
+	ahead := s.last
+	s.last = turn
+	s.lineMu.Unlock()
 	return func(ctx context.Context, run *Run, root *tracing.Active) wire.Summary {
-		// Queue for an execution slot; an expired budget while queued
-		// still runs batch.Run, which then reports every job cancelled
-		// (so streams and status always resolve).
+		// Queue for an execution slot once the sweep ahead has had its
+		// turn; an expired budget while queued still runs batch.Run,
+		// which then reports every job cancelled (so streams and status
+		// always resolve). A sweep that leaves the queue early passes its
+		// turn on only after the one ahead has had its own, so no later
+		// sweep overtakes that one.
 		queueStart := time.Now()
 		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
+		case <-ahead:
+			select {
+			case s.sem <- struct{}{}:
+				defer func() { <-s.sem }()
+			case <-ctx.Done():
+			}
+			close(turn)
 		case <-ctx.Done():
+			go func() {
+				<-ahead
+				close(turn)
+			}()
 		}
 		// The clock a summary reports splits here: queued covers the
 		// semaphore wait since submission, wall covers execution only, so

@@ -217,8 +217,8 @@ func (c *Coordinator) plan(w http.ResponseWriter, r *http.Request, req wire.Swee
 
 // sweepState is the shared bookkeeping of one coordinated sweep's
 // dispatch: which global indices have been delivered (the exactly-once
-// guard), the recorded lines for the merged summary, the live ring, and
-// the fleet counters the summary reports.
+// guard), the live ring, and the fleet counters the summary reports.
+// The delivered lines themselves live in the run's log.
 type sweepState struct {
 	run   *server.Run
 	req   wire.SweepRequest
@@ -234,7 +234,6 @@ type sweepState struct {
 	mu        sync.Mutex
 	ring      *Ring
 	delivered map[int]bool
-	recorded  []wire.Result
 	lost      map[string]bool
 	resharded int
 	retries   int
@@ -249,7 +248,6 @@ func (st *sweepState) record(r wire.Result) {
 		return
 	}
 	st.delivered[r.Index] = true
-	st.recorded = append(st.recorded, r)
 	st.mu.Unlock()
 	st.m.results.Inc()
 	st.run.Record(r)
@@ -316,12 +314,14 @@ func (c *Coordinator) dispatch(ctx context.Context, run *server.Run, req wire.Sw
 		st.fail(missing, "%s", reason)
 	}
 
-	// Merged summary: reconstruct the batch view of every line, order by
-	// global index, and reduce through the same SummaryOf a single host
-	// uses. Floats round-tripped bit-exactly, so max_metric/argmax agree
-	// bit for bit with a single-host run of the same grid.
+	// Merged summary: reconstruct the batch view of every line the run
+	// recorded, order by global index, and reduce through the same
+	// SummaryOf a single host uses. Floats round-tripped bit-exactly, so
+	// max_metric/argmax agree bit for bit with a single-host run of the
+	// same grid. The log is shared with the run's streams, so the lines
+	// are sorted in a copy.
+	lines := append([]wire.Result(nil), run.Results()...)
 	st.mu.Lock()
-	lines := append([]wire.Result(nil), st.recorded...)
 	resharded, retries, lost := st.resharded, st.retries, len(st.lost)
 	st.mu.Unlock()
 	sort.Slice(lines, func(i, j int) bool { return lines[i].Index < lines[j].Index })

@@ -97,8 +97,26 @@ func fleetStates(t *testing.T, coordURL string) map[string]string {
 // wave's sockets. The bare &http.Client{} it used to fall back to keeps
 // only 2 idle conns per host, so the second wave would re-dial.
 func TestClientReusesConnections(t *testing.T) {
+	const wave = 8
 	var newConns atomic.Int64
+	// The handler holds each call until its whole wave has arrived, so
+	// the calls of a wave are truly concurrent: the first wave opens
+	// exactly one connection per call, however the scheduler runs them.
+	var mu sync.Mutex
+	arrived := 0
+	release := make(chan struct{})
 	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		ch := release
+		if arrived++; arrived == wave {
+			close(release)
+			arrived, release = 0, make(chan struct{})
+		}
+		mu.Unlock()
+		select {
+		case <-ch:
+		case <-r.Context().Done():
+		}
 		w.Write([]byte("ok"))
 	}))
 	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
@@ -111,7 +129,6 @@ func TestClientReusesConnections(t *testing.T) {
 
 	c := New(Options{Workers: []string{ts.URL}})
 
-	const wave = 8
 	fire := func() {
 		var wg sync.WaitGroup
 		for i := 0; i < wave; i++ {
@@ -131,7 +148,7 @@ func TestClientReusesConnections(t *testing.T) {
 	}
 	fire()
 	afterFirst := newConns.Load()
-	if afterFirst > wave {
+	if afterFirst != wave {
 		t.Fatalf("first wave of %d concurrent calls opened %d connections", wave, afterFirst)
 	}
 	// Give the transport a beat to park the connections idle.

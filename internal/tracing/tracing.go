@@ -7,11 +7,12 @@
 // The model is deliberately tiny — W3C-traceparent in spirit, not in
 // syntax: one hex-32 trace id per sweep, one hex-16 span id per
 // shard/job/engine-phase, parent links, wall-clock starts with
-// monotonic-clock durations. Spans accumulate in a bounded ring per
+// monotonic-clock durations. Spans accumulate in a bounded log per
 // sweep (memory is capped however large the grid is); a trace endpoint
-// replays them as NDJSON with the same ?from cursor semantics the
-// result streams use, so a coordinator can merge a worker's spans into
-// its own recorder (Import) and a client sees one connected trace.
+// replays them as NDJSON through the same streamer and ?from cursor
+// semantics as the result streams, so a coordinator can merge a
+// worker's spans into its own recorder (Import) and a client sees one
+// connected trace.
 //
 // Tracing is strictly observer-grade. Every method is safe on a nil
 // *Recorder and a nil *Active, and the off path (nil recorder, the
@@ -27,11 +28,13 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"sync"
+	"sync/atomic"
 	"time"
+
+	"harvsim/internal/linelog"
 )
 
-// DefaultCapacity bounds a recorder's span ring when New is given no
+// DefaultCapacity bounds a recorder's span log when New is given no
 // explicit capacity: generous for a 4096-job sweep with a handful of
 // spans per job, small enough that a retained finished run costs
 // kilobytes, not the sweep's working set.
@@ -63,29 +66,21 @@ type Span struct {
 	Dur time.Duration
 }
 
-// Recorder is one sweep's flight recorder: a bounded ring of finished
+// Recorder is one sweep's flight recorder: a bounded log of finished
 // spans with an absolute-sequence cursor, so trace streams can resume
 // (?from) and survive eviction of the oldest spans. All methods are
 // safe for concurrent use and on a nil receiver (the "tracing off"
 // state).
 type Recorder struct {
 	trace  string
-	prefix uint64 // random high bits of every span id minted here
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	max  int
-	buf  []Span
-	// first is the absolute sequence number of buf[0]: cursors are
-	// absolute, so eviction moves first forward instead of renumbering.
-	first    int64
-	seq      uint64 // span-id sequence (monotonic, never reused)
-	finished bool
+	prefix uint64        // random high bits of every span id minted here
+	seq    atomic.Uint64 // span-id sequence (monotonic, never reused)
+	spans  *linelog.Log[Span]
 }
 
 // New builds a recorder for one sweep. trace selects the trace id (a
 // client-minted hex-32); empty mints a fresh one. capacity bounds the
-// span ring (0 = DefaultCapacity); the oldest spans are evicted first.
+// span log (0 = DefaultCapacity); the oldest spans are evicted first.
 func New(trace string, capacity int) *Recorder {
 	if trace == "" {
 		trace = NewTraceID()
@@ -93,9 +88,7 @@ func New(trace string, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	r := &Recorder{trace: trace, prefix: randomPrefix(), max: capacity}
-	r.cond = sync.NewCond(&r.mu)
-	return r
+	return &Recorder{trace: trace, prefix: randomPrefix(), spans: linelog.New[Span](capacity)}
 }
 
 // NewTraceID mints a random hex-32 trace id.
@@ -122,12 +115,9 @@ func (r *Recorder) Trace() string {
 	return r.trace
 }
 
-// nextID mints a span id. Caller holds no lock.
+// nextID mints a span id.
 func (r *Recorder) nextID() string {
-	r.mu.Lock()
-	r.seq++
-	id := r.prefix | (r.seq & 0xffffffff)
-	r.mu.Unlock()
+	id := r.prefix | (r.seq.Add(1) & 0xffffffff)
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], id)
 	return hex.EncodeToString(b[:])
@@ -214,41 +204,20 @@ func (r *Recorder) Import(s Span) {
 		return
 	}
 	s.Trace = r.trace
-	r.mu.Lock()
-	if r.finished {
-		r.mu.Unlock()
-		return
-	}
-	r.buf = append(r.buf, s)
-	if len(r.buf) > r.max {
-		n := len(r.buf) - r.max
-		r.buf = r.buf[n:]
-		r.first += int64(n)
-	}
-	r.mu.Unlock()
-	r.cond.Broadcast()
+	r.spans.Append(s)
 }
 
 // Finish seals the recorder: trace streams drain and terminate, later
 // Imports are dropped. Idempotent; no-op on nil.
 func (r *Recorder) Finish() {
-	if r == nil {
-		return
+	if r != nil {
+		r.spans.Seal()
 	}
-	r.mu.Lock()
-	r.finished = true
-	r.mu.Unlock()
-	r.cond.Broadcast()
 }
 
 // Finished reports whether the recorder is sealed.
 func (r *Recorder) Finished() bool {
-	if r == nil {
-		return true
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.finished
+	return r == nil || r.spans.Sealed()
 }
 
 // Len returns the number of spans recorded so far, evicted ones
@@ -257,20 +226,16 @@ func (r *Recorder) Len() int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.first + int64(len(r.buf))
+	return r.spans.Len()
 }
 
-// Retained returns the number of spans the ring holds: Len minus the
+// Retained returns the number of spans the log holds: Len minus the
 // evicted ones.
 func (r *Recorder) Retained() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
+	return r.spans.Retained()
 }
 
 // Snapshot copies the retained spans from absolute cursor from onward
@@ -279,57 +244,15 @@ func (r *Recorder) Snapshot(from int64) (spans []Span, next int64) {
 	if r == nil {
 		return nil, from
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if from < r.first {
-		from = r.first
-	}
-	if i := from - r.first; i < int64(len(r.buf)) {
-		spans = append(spans, r.buf[i:]...)
-	}
-	return spans, r.first + int64(len(r.buf))
+	chunk, next, _ := r.spans.Since(from)
+	return append(spans, chunk...), next
 }
 
-// Next blocks until spans past the absolute cursor from exist, the
-// recorder finishes, or stop reports true (checked on every wake-up; use
-// Interrupt to force a check). It returns the available chunk, the next
-// cursor, and whether the trace is complete (finished and fully
-// delivered). A cursor before the ring's oldest retained span is
-// clamped forward — the evicted prefix is gone by design.
-func (r *Recorder) Next(from int64, stop func() bool) (spans []Span, next int64, done bool) {
+// Spans returns the recorder's span log, the source a trace stream
+// follows (nil on a nil recorder).
+func (r *Recorder) Spans() *linelog.Log[Span] {
 	if r == nil {
-		return nil, from, true
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if from < r.first {
-		from = r.first
-	}
-	for from >= r.first+int64(len(r.buf)) && !r.finished && (stop == nil || !stop()) {
-		r.cond.Wait()
-		if from < r.first {
-			from = r.first
-		}
-	}
-	if i := from - r.first; i < int64(len(r.buf)) {
-		spans = append(spans, r.buf[i:]...)
-	}
-	// A finished recorder accepts no further Imports, so the chunk
-	// returned here is the last one: finished means complete.
-	return spans, r.first + int64(len(r.buf)), r.finished
-}
-
-// Interrupt wakes every blocked Next call so its stop predicate is
-// re-evaluated — the hook a disconnecting trace stream's monitor uses.
-// The empty critical section serialises with the check-then-Wait window
-// so the wake-up cannot be lost.
-func (r *Recorder) Interrupt() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	//lint:ignore SA2001 empty critical section on purpose: it
-	// serialises with Next's check-then-Wait window before waking.
-	r.mu.Unlock()
-	r.cond.Broadcast()
+	return r.spans
 }

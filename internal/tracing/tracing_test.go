@@ -62,15 +62,11 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	rec.Add("expand", "", -1, time.Now(), time.Millisecond)
 	rec.Import(Span{Name: "x"})
 	rec.Finish()
-	rec.Interrupt()
 	if !rec.Finished() {
 		t.Fatal("nil recorder must report finished")
 	}
 	if rec.Trace() != "" || rec.Len() != 0 {
 		t.Fatal("nil recorder must be empty")
-	}
-	if spans, _, done := rec.Next(0, nil); spans != nil || !done {
-		t.Fatal("nil recorder Next must be empty and done")
 	}
 }
 
@@ -120,53 +116,55 @@ func TestImportNormalisesTraceID(t *testing.T) {
 	}
 }
 
-func TestNextBlocksUntilSpanOrFinish(t *testing.T) {
+func TestFollowBlocksUntilSpanOrFinish(t *testing.T) {
 	rec := New("", 0)
 	got := make(chan int, 2)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		spans, next, _ := rec.Next(0, nil)
-		got <- len(spans)
-		spans, _, done := rec.Next(next, nil)
-		if !done {
-			t.Error("Next after Finish must report done")
+		chunks, late := 0, 0
+		err := rec.Spans().Follow(context.Background(), 0, func(spans []Span) error {
+			if chunks++; chunks == 1 {
+				got <- len(spans)
+			} else {
+				late += len(spans)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("Follow after Finish returned %v; want nil (done)", err)
 		}
-		got <- len(spans)
+		got <- late
 	}()
 	rec.Add("job", "", 0, time.Now(), 0)
 	if n := <-got; n != 1 {
-		t.Fatalf("first Next delivered %d spans; want 1", n)
+		t.Fatalf("first chunk delivered %d spans; want 1", n)
 	}
 	rec.Finish()
 	if n := <-got; n != 0 {
-		t.Fatalf("post-finish Next delivered %d spans; want 0", n)
+		t.Fatalf("post-finish Follow delivered %d spans; want 0", n)
 	}
 	wg.Wait()
 }
 
-func TestNextStopPredicateUnblocks(t *testing.T) {
+func TestFollowUnblocksOnContextEnd(t *testing.T) {
 	rec := New("", 0)
-	stopped := make(chan struct{})
-	done := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error)
 	go func() {
-		defer close(done)
-		rec.Next(0, func() bool {
-			select {
-			case <-stopped:
-				return true
-			default:
-				return false
-			}
-		})
+		done <- rec.Spans().Follow(ctx, 0, func([]Span) error { return nil })
 	}()
-	close(stopped)
-	rec.Interrupt()
+	// Let Follow reach its wait, so the cancel must wake it.
+	time.Sleep(20 * time.Millisecond)
+	cancel()
 	select {
-	case <-done:
+	case err := <-done:
+		if err != context.Canceled {
+			t.Fatalf("Follow returned %v; want context.Canceled", err)
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Next did not unblock on the stop predicate")
+		t.Fatal("Follow did not unblock when its context ended")
 	}
 }
 
