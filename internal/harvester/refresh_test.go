@@ -52,6 +52,42 @@ func TestChargeCountersUnmoved(t *testing.T) {
 	}
 }
 
+// TestCapBoundRunsUnmoved pins the Table I charge and the shortened
+// scenario 1 bit for bit: counters, memo hits and final state. Unlike
+// the runs of TestNoRepeatRunsUnmoved, most of their steps sit at the
+// stability cap and most of their analyses come from the stability
+// memo, so a per-step shortcut that moved a bit on either path (the
+// Jacobian products, the AB weights, the step decision, the re-check
+// after the terminal solve, the multiplier's restamp) shows here.
+func TestCapBoundRunsUnmoved(t *testing.T) {
+	cases := []struct {
+		name   string
+		sc     Scenario
+		count  [4]int
+		reused int
+		state  []uint64
+	}{
+		{"charge", ChargeScenario(2), [4]int{14011, 11318, 9468, 22249}, 9152, []uint64{
+			0x3f27056a43992149, 0x3f738e43f863ce7d, 0xbf70bc47eef58381, 0xbf74a693e0935250, 0x3f773b7c82bf5566,
+			0x3f73598e6d48d169, 0x3f3a9cd68f27208a, 0x3f34ebd090992a07, 0x3ed6bf2ae757ccd2, 0x3e9cd719261f6449}},
+		{"scenario1-short", scenario1Short(), [4]int{20672, 9494, 6997, 29204}, 6858, []uint64{
+			0x3f164cea728e6481, 0xbfaddfa4f30100db, 0x3fe25b9d4612491f, 0x3ff293eeb33020f8, 0x3ffbd35ed20ccfa2,
+			0x40029c9eb6e4505f, 0x40073337cb83aa06, 0x4007333e5c9a208d, 0x40073333af3d198a, 0x400733333d191472}},
+	}
+	for _, c := range cases {
+		s, state := proposedRun(t, c.sc, 1<<20)
+		if got := [4]int{s.Steps, s.Refreshes, s.StabilityRecomputes, s.YSolves}; got != c.count {
+			t.Errorf("%s: steps, refreshes, stability analyses, solves = %v, want %v", c.name, got, c.count)
+		}
+		if s.StabilityReused != c.reused {
+			t.Errorf("%s: %d analyses reused, want %d", c.name, s.StabilityReused, c.reused)
+		}
+		if !slices.Equal(state, c.state) {
+			t.Errorf("%s: final state bits %x, want %x", c.name, state, c.state)
+		}
+	}
+}
+
 // TestScenario1RefreshEconomy: on scenario 1 the multiplier's diodes
 // spend most of their time in deep reverse bias. With that span merged
 // into one segment the run refreshes on fewer than 0.6 of its steps
