@@ -2,6 +2,7 @@ package blocks
 
 import (
 	"fmt"
+	"math"
 
 	"harvsim/internal/core"
 	"harvsim/internal/pwl"
@@ -52,9 +53,18 @@ type Dickson struct {
 
 	g, j    []float64 // companion pairs per diode (1-based at index 0)
 	segs    []int     // last PWL segment id per diode
+	moved   uint64    // diodes whose G or J bits changed since the last stamp (diodeBit)
 	dirty   bool
 	initOut float64 // precharge voltage for the output ladder
 }
+
+// allDiodes is the stamp mask of a full restamp.
+const allDiodes = ^uint64(0)
+
+// diodeBit returns diode i's bit (1-based) in a stamp mask. Diodes past
+// the 64th share the top bit, so a change to any of them restamps the
+// rows of all of them: more than needed, never less.
+func diodeBit(i int) uint64 { return 1 << min(i-1, 63) }
 
 // NewDickson returns a multiplier block named name with terminals
 // "Vm"/"Im" on the input and "Vc"/"Ic" on the output.
@@ -127,7 +137,9 @@ func (d *Dickson) stageCap(i int) float64 {
 }
 
 // Linearise implements core.Block: refresh the diode companions from the
-// PWL table and restamp when any segment changed.
+// PWL table and restamp when any segment changed. The restamp writes
+// only what depends on the diodes whose companion bits moved since the
+// last stamp; a dirty block restamps everything.
 func (d *Dickson) Linearise(t float64, x, y []float64, st core.Stamp) bool {
 	n := d.P.Stages
 	vm := y[0]
@@ -137,19 +149,30 @@ func (d *Dickson) Linearise(t float64, x, y []float64, st core.Stamp) bool {
 		if seg != d.segs[i-1] || d.g[i-1] != g {
 			changed = true
 		}
+		if math.Float64bits(g) != math.Float64bits(d.g[i-1]) || math.Float64bits(j) != math.Float64bits(d.j[i-1]) {
+			d.moved |= diodeBit(i)
+		}
 		d.g[i-1], d.j[i-1], d.segs[i-1] = g, j, seg
 	}
 	if !changed {
 		return false
 	}
-	d.stamp(st)
+	mask := d.moved
+	if d.dirty {
+		mask = allDiodes
+	}
+	d.stamp(st, mask)
+	d.moved = 0
 	d.dirty = false
 	return true
 }
 
-// stamp writes the full linearised model. State index k holds V_{k+1};
-// terminal order is Vm=0, Im=1, Vc=2, Ic=3.
-func (d *Dickson) stamp(st core.Stamp) {
+// stamp writes the linearised model's entries that depend on the
+// diodes in mask (diodeBit), in the order a full stamp writes them; the
+// constant entries only with allDiodes. Stage row i depends on diodes i
+// and i+1, the input KCL's sums on every diode. State index k holds
+// V_{k+1}; terminal order is Vm=0, Im=1, Vc=2, Ic=3.
+func (d *Dickson) stamp(st core.Stamp, mask uint64) {
 	n := d.P.Stages
 	gi := func(i int) float64 {
 		if i >= 1 && i <= n {
@@ -164,10 +187,16 @@ func (d *Dickson) stamp(st core.Stamp) {
 		return 0
 	}
 	si := d.sign
+	full := mask == allDiodes
+	// either reports whether diode i or i+1 is in the mask.
+	either := func(i int) bool { return mask&(diodeBit(i)|diodeBit(i+1)) != 0 }
 
 	// Stage rows i = 1..n-1: C_i*dV_i/dt = Id_i - Id_{i+1} with
 	// Id_i = G_i*(s_i*Vm + V_{i-1} - V_i) + J_i.
 	for i := 1; i < n; i++ {
+		if !either(i) {
+			continue
+		}
 		c := d.stageCap(i)
 		r := i - 1
 		st.B(r, 0, (si(i)*gi(i)-si(i+1)*gi(i+1))/c)
@@ -181,32 +210,45 @@ func (d *Dickson) stamp(st core.Stamp) {
 	// Output stage: C_N*dV_N/dt = Id_N - Ic.
 	c := d.stageCap(n)
 	r := n - 1
-	st.B(r, 0, si(n)*gi(n)/c)
-	if n >= 2 {
-		st.A(r, n-2, gi(n)/c)
+	if mask&diodeBit(n) != 0 { // set in a full mask too
+		st.B(r, 0, si(n)*gi(n)/c)
+		if n >= 2 {
+			st.A(r, n-2, gi(n)/c)
+		}
+		st.A(r, n-1, -gi(n)/c)
+		if full {
+			st.B(r, 3, -1/c) // Ic
+		}
+		st.E(r, ji(n)/c)
 	}
-	st.A(r, n-1, -gi(n)/c)
-	st.B(r, 3, -1/c) // Ic
-	st.E(r, ji(n)/c)
 
 	// Input KCL: 0 = Im - sum_i s_i*Id_i
 	//          = Im - (sum G_i)*Vm - sum_i s_i*G_i*(V_{i-1}-V_i) - sum s_i*J_i.
+	if mask == 0 {
+		return
+	}
 	var sumG, sumSJ float64
 	for i := 1; i <= n; i++ {
 		sumG += gi(i)
 		sumSJ += si(i) * ji(i)
 	}
 	st.D(0, 0, -sumG)
-	st.D(0, 1, 1)
+	if full {
+		st.D(0, 1, 1)
+	}
 	for k := 1; k <= n; k++ {
 		// V_k appears as -V_k in diode k and as V_{(k+1)-1} in diode k+1.
-		st.C(0, k-1, si(k)*gi(k)-si(k+1)*gi(k+1))
+		if either(k) {
+			st.C(0, k-1, si(k)*gi(k)-si(k+1)*gi(k+1))
+		}
 	}
 	st.G(0, -sumSJ)
 
 	// Output relation: 0 = Vc - VN.
-	st.C(1, n-1, -1)
-	st.D(1, 2, 1)
+	if full {
+		st.C(1, n-1, -1)
+		st.D(1, 2, 1)
+	}
 }
 
 // EvalNonlinear implements core.Block with exact Shockley(+Rs) diode
@@ -240,6 +282,7 @@ func (d *Dickson) JacNonlinear(t float64, x, y []float64, st core.Stamp) {
 		d.g[i-1] = g
 		d.j[i-1] = id - g*v
 	}
-	d.stamp(st)
+	d.stamp(st, allDiodes)
+	d.moved = 0
 	d.dirty = true // PWL stamps must be restored before explicit runs
 }

@@ -117,6 +117,10 @@ func (g *Electrostatic) Linearise(t float64, x, y []float64, st core.Stamp) bool
 	return true
 }
 
+// LinearisesFromState implements core.StateLineariser: Linearise reads
+// t (through the memoised Vibration.Accel), the gap and the charge.
+func (g *Electrostatic) LinearisesFromState() bool { return true }
+
 // EvalNonlinear implements core.Block.
 func (g *Electrostatic) EvalNonlinear(t float64, x, y, fx, fy []float64) {
 	p := g.P

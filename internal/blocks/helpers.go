@@ -117,6 +117,10 @@ func (r *Resistor) Linearise(t float64, x, y []float64, st core.Stamp) bool {
 	return true
 }
 
+// LinearisesFromState implements core.StateLineariser: Linearise reads
+// nothing but the resistance.
+func (r *Resistor) LinearisesFromState() bool { return true }
+
 // EvalNonlinear implements core.Block.
 func (r *Resistor) EvalNonlinear(t float64, x, y, fx, fy []float64) {
 	fy[0] = y[1] - y[0]/r.r

@@ -326,6 +326,10 @@ func (g *Microgenerator) Linearise(t float64, x, y []float64, st core.Stamp) boo
 	return true
 }
 
+// LinearisesFromState implements core.StateLineariser: Linearise reads
+// t (through the memoised Vibration.Accel) and the displacement only.
+func (g *Microgenerator) LinearisesFromState() bool { return true }
+
 // retangent reports whether the linearisation stamped at zLin has
 // drifted materially from the operating point z: tangent-stiffness
 // drift for the cubic spring, effective-coupling drift for the

@@ -94,6 +94,10 @@ func (g *Piezo) Linearise(t float64, x, y []float64, st core.Stamp) bool {
 	return true
 }
 
+// LinearisesFromState implements core.StateLineariser: Linearise reads
+// t only (through the memoised Vibration.Accel).
+func (g *Piezo) LinearisesFromState() bool { return true }
+
 // EvalNonlinear implements core.Block.
 func (g *Piezo) EvalNonlinear(t float64, x, y, fx, fy []float64) {
 	p := g.P

@@ -19,6 +19,7 @@ func (g *Microgenerator) ResetLinearisation() {
 // ResetLinearisation implements core.LineariseResetter.
 func (d *Dickson) ResetLinearisation() {
 	d.dirty = true
+	d.moved = 0
 	for i := range d.segs {
 		d.segs[i] = 0
 		d.g[i], d.j[i] = 0, 0

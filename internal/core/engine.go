@@ -39,6 +39,7 @@ type Stats struct {
 	Restarts            int     // multistep history restarts (discontinuities)
 	StabilityRecomputes int     // reduced-matrix stability analyses, reused ones included
 	StabilityReused     int     // analyses served from the run's stability memo
+	WeightsReused       int     // Adams-Bashforth weight sets served from the weight table
 	MaxJacChange        float64 // largest relative Jacobian change seen (LLE monitor)
 	HStabMin            float64 // tightest stability cap encountered
 	HMean               float64 // mean accepted step
@@ -216,7 +217,11 @@ func (e *Engine) refresh(first bool) (relChange float64, err error) {
 		e.Phases.Refactor += time.Since(phaseStart)
 	}
 	// A first refresh only empties the log, and starts the run's
-	// varying set and stability memo from the Jacobian it leaves.
+	// varying set, stability memo and stamp pattern from the Jacobian
+	// it leaves.
+	if first {
+		s.jac.rescan()
+	}
 	if drift := s.jac.drift(); first {
 		s.jac.clearVarying()
 		e.memo.empty(0)
@@ -349,10 +354,11 @@ func (e *Engine) computeStability() error {
 }
 
 // solveY eliminates the non-state variables at the current point:
-// Jyy*y = -(Jyx*x + Ey) (paper Eq. 4).
+// Jyy*y = -(Jyx*x + Ey) (paper Eq. 4). Jyx*x runs over the stamp
+// pattern when that is exact (jacobian.mul), densely otherwise.
 func (e *Engine) solveY() error {
 	s := e.Sys
-	s.Jyx.MulVec(e.yRHS, e.x)
+	s.jac.mul(qyx, e.yRHS, e.x, false)
 	for i := range e.yRHS {
 		e.yRHS[i] = -(e.yRHS[i] + s.Ey[i])
 	}
@@ -360,11 +366,12 @@ func (e *Engine) solveY() error {
 	return e.luYY.Solve(e.y, e.yRHS)
 }
 
-// deriv computes xdot = Jxx*x + Jxy*y + Ex into e.f.
+// deriv computes xdot = Jxx*x + Jxy*y + Ex into e.f, each product over
+// the stamp pattern when that is exact for its vector.
 func (e *Engine) deriv() {
 	s := e.Sys
-	s.Jxx.MulVec(e.f, e.x)
-	s.Jxy.MulVecAdd(e.f, 1, e.y)
+	s.jac.mul(qxx, e.f, e.x, false)
+	s.jac.mul(qxy, e.f, e.y, true)
 	for i := range e.f {
 		e.f[i] += s.Ex[i]
 	}
@@ -393,6 +400,7 @@ func (e *Engine) Begin(t0, tEnd float64) error {
 	if e.memo == nil {
 		e.memo = takeMemo() // emptied by the first refresh below
 	}
+	e.memo.weights.Empty()
 	e.Sys.InitState(e.x)
 	e.t0, e.t, e.tEnd = t0, t0, tEnd
 
@@ -404,7 +412,7 @@ func (e *Engine) Begin(t0, tEnd float64) error {
 		return err
 	}
 	// The second linearise pass, as in Step.
-	if e.Sys.Linearise(e.t, e.x, e.y) {
+	if e.Sys.relinearise(e.t, e.x, e.y) {
 		if _, err := e.refresh(true); err != nil {
 			return err
 		}
@@ -445,11 +453,12 @@ func (e *Engine) Step() (done bool, err error) {
 	// 2. Eliminate the non-state variables (Eq. 4). When the solved
 	// terminals land on a different PWL segment than the one linearised,
 	// a second pass re-linearises and re-solves, so the step starts from
-	// a consistent point.
+	// a consistent point. Only the blocks that read terminals can change
+	// on that pass, so it runs only those.
 	if err := e.solveY(); err != nil {
 		return false, err
 	}
-	if e.Sys.Linearise(e.t, e.x, e.y) {
+	if e.Sys.relinearise(e.t, e.x, e.y) {
 		if _, err := e.refresh(false); err != nil {
 			return false, err
 		}
@@ -602,7 +611,9 @@ func (e *Engine) releaseMemo() {
 
 // abUpdate computes the Adams-Bashforth update of the highest available
 // order into xNext and a one-order-lower companion into xLow; errv
-// receives their difference (the local truncation error estimate).
+// receives their difference (the local truncation error estimate). The
+// weights of both orders come from the run's weight table
+// (ode.WeightTable), which returns ABCoeffs' bits.
 func (e *Engine) abUpdate(h float64) {
 	p := e.hist.Depth()
 	if p > e.Order {
@@ -615,7 +626,9 @@ func (e *Engine) abUpdate(h float64) {
 		e.times[i] = ti
 	}
 	times := e.times[:p]
-	ode.ABCoeffs(e.coefP[:p], times, h)
+	if e.memo.weights.Coeffs(e.coefP[:p], e.coefL[:p-1], times, h) {
+		e.Stats.WeightsReused++
+	}
 	copy(e.xNext, e.x)
 	for i := 0; i < p; i++ {
 		_, fi := e.hist.Entry(i)
@@ -630,7 +643,6 @@ func (e *Engine) abUpdate(h float64) {
 		}
 		return
 	}
-	ode.ABCoeffs(e.coefL[:p-1], times[:p-1], h)
 	copy(e.xLow, e.x)
 	for i := 0; i < p-1; i++ {
 		_, fi := e.hist.Entry(i)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"sync"
+
+	"harvsim/internal/ode"
 )
 
 // The stability memo's shape. These constants define results, not only
@@ -48,6 +50,12 @@ type stabMemo struct {
 	caps [memoSlots][2]float64 // hRealFE, rhoOsc
 	keys [memoSlots * memoKeyCap]uint64
 	key  [memoKeyCap]uint64 // the key being looked up
+
+	// weights serves the run's Adams-Bashforth weights. It rides in the
+	// memo so that the same recycling spares every run its ~60 KB; its
+	// entries are exact for all time, and Begin empties it only so that
+	// Stats.WeightsReused counts the run's own repeats.
+	weights ode.WeightTable
 }
 
 // empty drops every entry; the keys stored next are width words long.
@@ -98,7 +106,7 @@ func (m *stabMemo) store(slot int, key []uint64, h uint64, hReal, rho float64) {
 }
 
 // memoStore recycles stability memos process-wide, in the spirit of
-// pwl's process-wide table store. A memo is ~70 KB, and callers such as
+// pwl's process-wide table store. A memo is ~130 KB, and callers such as
 // a batch run with a fresh workspace pool per job would otherwise
 // allocate one per run; a sync.Pool would drop them at every GC. The
 // free list holds at most as many memos as engines ever ran at once.

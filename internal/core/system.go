@@ -37,6 +37,11 @@ type System struct {
 
 	dirty bool // a parameter change invalidated the linearisation
 
+	// fromState marks, by bit, the blocks among the first 64 whose
+	// Linearise reads only t and their states (StateLineariser); the
+	// re-check after a terminal solve skips them.
+	fromState uint64
+
 	// scratch for per-block local views
 	yLocal [][]float64
 
@@ -77,11 +82,15 @@ func (s *System) Build() error {
 	s.termMap = make([][]int, len(s.blocks))
 	s.yLocal = make([][]float64, len(s.blocks))
 	nx, neq := 0, 0
+	s.fromState = 0
 	for i, b := range s.blocks {
 		if names[b.Name()] {
 			return fmt.Errorf("core: duplicate block name %q", b.Name())
 		}
 		names[b.Name()] = true
+		if sl, ok := b.(StateLineariser); ok && sl.LinearisesFromState() && i < 64 {
+			s.fromState |= 1 << i
+		}
 		s.xOff[i] = nx
 		s.eqOff[i] = neq
 		nx += b.NumStates()
@@ -238,18 +247,37 @@ type LineariseResetter interface {
 }
 
 // ResetLinearisation invalidates the system AND every block's cached
-// stamp state. Reusing a system for a new run requires this rather than
-// plain Invalidate: blocks whose change-detection thresholds would
+// stamp state, and zeroes the Jacobian (with its change log, varying
+// set and stamp pattern) and the excitations, as Build does on
+// recycled storage. Reusing a system for a new run requires this rather
+// than plain Invalidate: blocks whose change-detection thresholds would
 // tolerate the previous run's final tangent must restamp from the fresh
-// initial operating point, or the reused run would differ in the last
-// bits from a freshly assembled one.
+// initial operating point, and entries that only an implicit engine's
+// exact stamps write (System.JacNonlinear) must not outlive its run, or
+// the reused run would differ in the last bits from a freshly assembled
+// one.
 func (s *System) ResetLinearisation() {
 	s.dirty = true
+	if s.jac != nil {
+		s.jac.reset()
+		la.ZeroVec(s.Ex)
+		la.ZeroVec(s.Ey)
+	}
 	for _, b := range s.blocks {
 		if r, ok := b.(LineariseResetter); ok {
 			r.ResetLinearisation()
 		}
 	}
+}
+
+// StateLineariser is implemented by blocks that can declare their
+// Linearise a function of t and their states alone: it never reads the
+// terminal values, so a second call at the same (t, x) writes the same
+// stamps and returns false. The proposed engine's re-check after the
+// terminal solve (paper Eq. 4), which changes y only, then skips the
+// block. Blocks that do not implement it are always re-checked.
+type StateLineariser interface {
+	LinearisesFromState() bool
 }
 
 // gatherLocalY fills the per-block terminal value views from the global y.
@@ -265,11 +293,25 @@ func (s *System) gatherLocalY(i int, y []float64) []float64 {
 // (t, x, y) by delegating to every block, and reports whether any
 // Jacobian entry changed (always true after Invalidate).
 func (s *System) Linearise(t float64, x, y []float64) (changed bool) {
+	return s.linearise(t, x, y, false)
+}
+
+// relinearise is Linearise after a terminal solve at the (t, x) of the
+// previous Linearise: it skips the blocks that linearise from their
+// states alone (StateLineariser), whose call would repeat the last.
+func (s *System) relinearise(t float64, x, y []float64) (changed bool) {
+	return s.linearise(t, x, y, true)
+}
+
+func (s *System) linearise(t float64, x, y []float64, recheck bool) (changed bool) {
 	if !s.built {
 		panic("core: Linearise before Build")
 	}
 	changed = s.dirty
 	for i, b := range s.blocks {
+		if recheck && i < 64 && s.fromState>>i&1 != 0 {
+			continue
+		}
 		xl := x[s.xOff[i] : s.xOff[i]+b.NumStates()]
 		yl := s.gatherLocalY(i, y)
 		if b.Linearise(t, xl, yl, Stamp{sys: s, blk: i}) {

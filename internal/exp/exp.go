@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"harvsim/internal/batch"
+	"harvsim/internal/core"
 	"harvsim/internal/harvester"
 	"harvsim/internal/trace"
 )
@@ -28,6 +29,9 @@ type EngineRun struct {
 	// Stats carries the full unified per-run counters (refactorisations,
 	// solves, allocations when measured) for the JSON report.
 	Stats batch.EngineStats
+	// WeightsReused counts the proposed engine's Adams-Bashforth weight
+	// sets served from its weight table (core.Stats.WeightsReused).
+	WeightsReused int
 }
 
 // Speedup returns how much faster this run is than other (by CPU time,
@@ -43,16 +47,18 @@ func (r EngineRun) Speedup(other EngineRun) float64 {
 
 // perStep renders the proposed engine's refreshes, stability analyses
 // (and, in parentheses, those computed rather than served from the
-// stability memo) and elimination solves per accepted step: the
-// counters that set its cost, printed beside the Table I/II speedups.
+// stability memo), elimination solves and AB weight sets served from
+// the weight table per accepted step: the counters that set its cost,
+// printed beside the Table I/II speedups.
 func (r EngineRun) perStep() string {
 	if r.Stats.Steps == 0 {
 		return "-"
 	}
 	n := float64(r.Stats.Steps)
 	computed := r.Stats.StabilityRecomputes - r.Stats.StabilityReused
-	return fmt.Sprintf("%.2f / %.2f (%.3f) / %.2f", float64(r.Stats.Refactors)/n,
-		float64(r.Stats.StabilityRecomputes)/n, float64(computed)/n, float64(r.Stats.Solves)/n)
+	return fmt.Sprintf("%.2f / %.2f (%.3f) / %.2f / %.2f", float64(r.Stats.Refactors)/n,
+		float64(r.Stats.StabilityRecomputes)/n, float64(computed)/n, float64(r.Stats.Solves)/n,
+		float64(r.WeightsReused)/n)
 }
 
 // ExtrapolateTo estimates the CPU time for a longer simulated span
@@ -80,14 +86,18 @@ func runTimed(label string, sc harvester.Scenario, kind harvester.EngineKind, de
 		return EngineRun{}, nil, fmt.Errorf("exp: %s failed: %w", label, err)
 	}
 	stats := batch.StatsOf(eng)
-	return EngineRun{
+	run := EngineRun{
 		Label:    label,
 		CPUTime:  elapsed,
 		Steps:    stats.Steps,
 		SimTime:  sc.Duration,
 		HMeanSec: stats.HMean,
 		Stats:    stats,
-	}, h, nil
+	}
+	if ce, ok := eng.(*core.Engine); ok {
+		run.WeightsReused = ce.Stats.WeightsReused
+	}
+	return run, h, nil
 }
 
 // MeasurementTwin produces the "experimental measurement" substitute for

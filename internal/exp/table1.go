@@ -122,6 +122,6 @@ func (r Table1Result) String() string {
 		w.add(row.Simulator, row.Technique, cpu, fmt.Sprintf("%d", row.Run.Steps), paper)
 	}
 	return fmt.Sprintf("Table I — supercapacitor charging, %.3g s simulated\n%s"+
-		"proposed refresh/stab (computed)/solve per step: %s over %d steps\n",
+		"proposed refresh/stab (computed)/solve/reused AB weights per step: %s over %d steps\n",
 		r.SimDuration, w.String(), base.perStep(), base.Steps)
 }

@@ -73,7 +73,7 @@ func Table2(f harvester.Fidelity) (Table2Result, error) {
 func (r Table2Result) String() string {
 	var w tableWriter
 	w.add("Scenario", "Existing (trap+NR)", "Proposed (AB)", "Speedup",
-		"Proposed refresh/stab (computed)/solve per step", "Proposed steps", "Paper", "Vc RMSE [V]")
+		"Proposed refresh/stab (computed)/solve/reused AB weights per step", "Proposed steps", "Paper", "Vc RMSE [V]")
 	for _, row := range r.Rows {
 		paper := fmt.Sprintf("%s vs %s (%.0fx)",
 			FormatDuration(row.PaperExisting), FormatDuration(row.PaperProposed),

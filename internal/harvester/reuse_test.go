@@ -173,7 +173,24 @@ func TestPooledAssembleBitIdentical(t *testing.T) {
 func TestProposedAfterImplicitBitIdentical(t *testing.T) {
 	sc := ChargeScenario(0.5)
 	sc.Cfg.InitialVc = 2.5
+	proposedAfterImplicit(t, sc)
+}
 
+// TestResetClearsExactStampsOnlyEntries: the bistable device's
+// displacement-dependent coupling makes JacNonlinear write an entry the
+// PWL stamps never do (the coil row's −dPhi/dz·zdot against z, Jyx[0]).
+// Reset must clear it, or the proposed run after a trap run marches
+// with it: its final velocity read 0.0130964673 against a fresh run's
+// 0.0130965188.
+func TestResetClearsExactStampsOnlyEntries(t *testing.T) {
+	proposedAfterImplicit(t, BistableScenario(0.5, BistableWellM, BistableBarrierJ, 120, -3.4e4, 8, 40, 7))
+}
+
+// proposedAfterImplicit requires a proposed run of sc on a harvester that
+// first ran sc under the trapezoidal engine, then Reset and Schedule, to
+// equal a proposed run on a freshly assembled one bit for bit.
+func proposedAfterImplicit(t *testing.T, sc Scenario) {
+	t.Helper()
 	fresh, err := Assemble(sc)
 	if err != nil {
 		t.Fatal(err)

@@ -73,15 +73,24 @@ func ABCoeffs(dst []float64, times []float64, h float64) []float64 {
 	if len(dst) != p {
 		panic("ode: ABCoeffs dst length mismatch")
 	}
-	if p == 1 {
-		dst[0] = h // Forward Euler
-		return dst
-	}
 	// Work in the shifted variable s = tau - t_n, so history nodes are
 	// s_i = times[i] - times[0] <= 0 and we integrate over [0, h].
 	var s [MaxABOrder]float64
 	for i := 0; i < p; i++ {
 		s[i] = times[i] - times[0]
+	}
+	abWeights(dst, s[:p], h)
+	return dst
+}
+
+// abWeights is ABCoeffs on the history offsets s[i] = times[i] - times[0]
+// (len(s) = len(dst) = the order): the weights depend on h and the
+// offsets alone, which is what lets WeightTable serve them by key.
+func abWeights(dst, s []float64, h float64) {
+	p := len(s)
+	if p == 1 {
+		dst[0] = h // Forward Euler
+		return
 	}
 	// For each i build the numerator polynomial prod_{j != i}(x - s_j) by
 	// convolution, evaluate its definite integral over [0, h], and divide
@@ -116,7 +125,6 @@ func ABCoeffs(dst []float64, times []float64, h float64) []float64 {
 		}
 		dst[i] = integral / den
 	}
-	return dst
 }
 
 // History is a fixed-capacity ring of past derivative evaluations, newest
@@ -153,7 +161,10 @@ func (h *History) Push(t float64, f []float64) {
 	if len(f) != h.n {
 		panic("ode: History.Push dimension mismatch")
 	}
-	h.head = (h.head + h.cap - 1) % h.cap
+	if h.head == 0 {
+		h.head = h.cap
+	}
+	h.head--
 	h.times[h.head] = t
 	copy(h.fs[h.head], f)
 	if h.count < h.cap {
@@ -167,7 +178,10 @@ func (h *History) Entry(i int) (t float64, f []float64) {
 	if i < 0 || i >= h.count {
 		panic("ode: History.Entry out of range")
 	}
-	k := (h.head + i) % h.cap
+	k := h.head + i
+	if k >= h.cap {
+		k -= h.cap
+	}
 	return h.times[k], h.fs[k]
 }
 
@@ -178,7 +192,10 @@ func (h *History) Times(dst []float64) []float64 {
 		panic("ode: History.Times dst too small")
 	}
 	for i := 0; i < h.count; i++ {
-		k := (h.head + i) % h.cap
+		k := h.head + i
+		if k >= h.cap {
+			k -= h.cap
+		}
 		dst[i] = h.times[k]
 	}
 	return dst[:h.count]

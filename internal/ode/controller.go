@@ -40,10 +40,7 @@ func DefaultController() Controller {
 
 // Clamp restricts h to [HMin, min(HMax, StabilityMargin*hStab)].
 func (c *Controller) Clamp(h, hStab float64) float64 {
-	hi := c.HMax
-	if s := c.StabilityMargin * hStab; s < hi {
-		hi = s
-	}
+	hi := c.ceiling(hStab)
 	if h > hi {
 		h = hi
 	}
@@ -51,6 +48,16 @@ func (c *Controller) Clamp(h, hStab float64) float64 {
 		h = c.HMin
 	}
 	return h
+}
+
+// ceiling returns the upper bound Clamp applies:
+// min(HMax, StabilityMargin*hStab).
+func (c *Controller) ceiling(hStab float64) float64 {
+	hi := c.HMax
+	if s := c.StabilityMargin * hStab; s < hi {
+		hi = s
+	}
+	return hi
 }
 
 // Decide returns whether a step with weighted error norm errNorm (<= 1
@@ -65,6 +72,9 @@ func (c *Controller) Decide(h, errNorm float64, order int, hStab float64) (accep
 		// No usable estimate (or a clean linear segment): grow cautiously.
 		factor = c.MaxFactor
 	default:
+		if hNext, ok := c.capped(h, errNorm, order, hStab); ok {
+			return accept, hNext
+		}
 		factor = c.Safety * math.Pow(errNorm, -1/float64(order+1))
 	}
 	if math.IsNaN(factor) || factor < c.MinFactor {
@@ -75,6 +85,48 @@ func (c *Controller) Decide(h, errNorm float64, order int, hStab float64) (accep
 	}
 	hNext = c.Clamp(h*factor, hStab)
 	return accept, hNext
+}
+
+// capped returns Decide's suggestion without its math.Pow when the error
+// is small enough that the exact factor Safety*errNorm^(-1/(order+1))
+// surely exceeds T = min(MaxFactor, hi/h)*(1+1e-9), hi = ceiling(hStab).
+// Past T the result no longer depends on the factor: it is
+// Clamp(h*MaxFactor) when MaxFactor <= hi/h (the factor clips to
+// MaxFactor) and Clamp(hi) otherwise (h times any factor above hi/h
+// rounds to at least hi), the bits Decide's Pow path returns. The test
+// errNorm < (Safety/T)^(order+1)*(1-1e-6) is evaluated by
+// multiplication; both margins are about 1e7 times the error of Pow and
+// of that product, so an input near the boundary falls to Pow, never
+// into the wrong branch. This is the common case under the Eq. 7 cap,
+// where the stability limit, not accuracy, sets the step; the implicit
+// engines (hStab = +Inf) take it at HMax.
+func (c *Controller) capped(h, errNorm float64, order int, hStab float64) (hNext float64, ok bool) {
+	hi := c.ceiling(hStab)
+	if order < 1 || !(c.Safety > 0) || !(h > 0) || !(hi > 0) {
+		return 0, false
+	}
+	grow, toCeiling := c.MaxFactor, false
+	if r := hi / h; r < grow {
+		grow, toCeiling = r, true
+	}
+	top := grow * (1 + 1e-9)
+	if !(top > 0) {
+		return 0, false
+	}
+	q := c.Safety / top
+	thr := q
+	for i := 0; i < order; i++ {
+		thr *= q
+	}
+	thr *= 1 - 1e-6
+	// A subnormal or overflowed threshold has lost the margin.
+	if !(errNorm < thr) || thr < 0x1p-1022 || thr > math.MaxFloat64 {
+		return 0, false
+	}
+	if toCeiling {
+		return c.Clamp(hi, hStab), true
+	}
+	return c.Clamp(h*c.MaxFactor, hStab), true
 }
 
 // ErrNorm computes the weighted RMS norm of the estimate est against the
