@@ -41,6 +41,17 @@ func scenario1Short() Scenario {
 	return sc
 }
 
+// gridCharge is a point of the design grid a refinement sweep primes: a
+// 0.5 s charge from 2.5 V through a 1 kΩ coil into a multiplier of the
+// given number of stages.
+func gridCharge(stages int) Scenario {
+	sc := ChargeScenario(0.5)
+	sc.Cfg.InitialVc = 2.5
+	sc.Cfg.Microgen.Rc = 1000
+	sc.Cfg.Dickson.Stages = stages
+	return sc
+}
+
 // TestChargeCountersUnmoved: the Table I charge never takes a diode into
 // the merged reverse-bias span of its table, so its counters are those
 // of the uniform table's run, exactly.
@@ -58,7 +69,10 @@ func TestChargeCountersUnmoved(t *testing.T) {
 // stability cap and most of their analyses come from the stability
 // memo, so a per-step shortcut that moved a bit on either path (the
 // Jacobian products, the AB weights, the step decision, the re-check
-// after the terminal solve, the multiplier's restamp) shows here.
+// after the terminal solve, the multiplier's restamp) shows here. The
+// design-grid charges at 3 and 6 stages vary 14 and 29 Jacobian
+// entries, the narrowest and widest sets of the grid below 7 stages,
+// and pin that the memo's key storage serves them as it always has.
 func TestCapBoundRunsUnmoved(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -73,6 +87,13 @@ func TestCapBoundRunsUnmoved(t *testing.T) {
 		{"scenario1-short", scenario1Short(), [4]int{20672, 9494, 6997, 29204}, 6858, []uint64{
 			0x3f164cea728e6481, 0xbfaddfa4f30100db, 0x3fe25b9d4612491f, 0x3ff293eeb33020f8, 0x3ffbd35ed20ccfa2,
 			0x40029c9eb6e4505f, 0x40073337cb83aa06, 0x4007333e5c9a208d, 0x40073333af3d198a, 0x400733333d191472}},
+		{"grid-charge-3", gridCharge(3), [4]int{3437, 60, 7, 3498}, 1, []uint64{
+			0x3f3274bf40033deb, 0xbed2e720299ef600, 0x3feaaab23f1bdf3e, 0x3ffaaaa6df66c71a,
+			0x4003fff7b9576ae7, 0x4003fffe3fdc2a7e, 0x4003fffff5829fe1, 0x4003ffffff2c37fa}},
+		{"grid-charge-6", gridCharge(6), [4]int{3438, 1283, 802, 4680}, 711, []uint64{
+			0x3f31d85b94ec675a, 0x3ef148b7fd0477b4, 0x3fdad39fd067934b, 0x3fea969b3203d1fe, 0x3ff40a10bb8fdf5d,
+			0x3ffaa0941f40afb6, 0x4000afa7133d8670, 0x4003fff836604ccd, 0x4003fffebd049cd7, 0x4003fffff832e7ac,
+			0x4003ffffff62681c}},
 	}
 	for _, c := range cases {
 		s, state := proposedRun(t, c.sc, 1<<20)
@@ -161,14 +182,16 @@ func TestNoRepeatRunsUnmoved(t *testing.T) {
 }
 
 // TestRecycledMemoRunsFresh: the stability memo's storage is recycled
-// across engines, and a charge run on the storage a scenario-1 run just
-// handed back equals one on the storage before it, bit for bit: nothing
-// of one run's memo reaches the next.
+// across engines, and a charge run on the storage a scenario-1 run and
+// then a 10-stage charge, with its wider keys, just handed back equals
+// one on the storage before them, bit for bit: nothing of one run's memo
+// reaches the next.
 func TestRecycledMemoRunsFresh(t *testing.T) {
 	first, firstState := proposedRun(t, ChargeScenario(2), 1<<20)
 	if s1 := proposedStats(t, scenario1Short()); s1.StabilityReused == 0 {
 		t.Fatal("test premise broken: the scenario-1 run reused no analysis")
 	}
+	proposedStats(t, gridCharge(10))
 	again, againState := proposedRun(t, ChargeScenario(2), 1<<20)
 	if first.StabilityReused == 0 {
 		t.Fatal("test premise broken: the charge reused no analysis")
