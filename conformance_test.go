@@ -93,6 +93,26 @@ func TestConformanceCharge(t *testing.T) {
 	})
 }
 
+// TestConformanceChargeWideMultiplier is TestConformanceCharge through a
+// 7- and a 10-stage multiplier, whose varying Jacobian entries (34 and
+// 49) key the proposed engine's stability memo beyond the 5-stage
+// default's 24.
+func TestConformanceChargeWideMultiplier(t *testing.T) {
+	for _, stages := range []int{7, 10} {
+		t.Run(fmt.Sprintf("%d-stages", stages), func(t *testing.T) {
+			sc := ChargeScenario(2)
+			sc.Cfg.InitialVc = 2.5
+			sc.Cfg.Dickson.Stages = stages
+			runConformance(t, "charge", sc, []conformanceCase{
+				{Proposed, 2.5e-4, 0, 0},
+				{ExistingTrap, 2.5e-4, 1e-3, 0.10},
+				{ExistingBDF2, 1e-4, 1e-3, 0.10},
+				{ExistingBE, 2.5e-4, 1e-3, 0},
+			})
+		})
+	}
+}
+
 // TestConformanceDuffingLinearLimit pins the k3 → 0 limit of the new
 // nonlinear path on every engine: DuffingScenario(d, 0) must reproduce
 // the linear microgenerator's charge run to machine precision — in fact

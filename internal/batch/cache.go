@@ -34,11 +34,16 @@ import (
 // v4: the proposed engine memoises its stability analysis within a run,
 // and a repeated Jacobian reuses the caps computed under the balancing
 // scales of its first sight, which moves result bits of every run that
-// repeats one (the memo's constants, core.memoKeyCap and its table
-// size, are part of this version); FinalVc and the Vc the MCU reads
+// repeats one (the memo's constants, its key width and table size, are
+// part of this version); FinalVc and the Vc the MCU reads
 // come from the latest observed point instead of the decimated trace;
 // and EngineStats gained StabilityReused.
-const CacheSchemaVersion = 4
+//
+// v5: the stability memo's key is the run's whole varying set instead of
+// at most its first 32 entries, so runs whose set outgrows 32 entries (a
+// multiplier of 7 or more stages) reuse the caps of repeated Jacobians
+// too, and move result bits; runs within 32 entries keep theirs.
+const CacheSchemaVersion = 5
 
 // cacheSchema is the full stamp written into disk entries and mixed into
 // every key.

@@ -40,31 +40,31 @@ func TestKeyOfGolden(t *testing.T) {
 		want string
 	}{
 		{"charge", charge(), Options{},
-			"bc04750d267b07d36cc19c59545d61e021ab5f74750ce375b49e53897eb07e98"},
+			"399da8207b74a7afceadd6753482fd4cc2db65cdd2b0e54ad12638efa301f12a"},
 		{"scenario1 trap dec4", Job{Scenario: harvester.Scenario1(harvester.Quick),
 			Engine: harvester.ExistingTrap, Decimate: 4}, Options{},
-			"91755cf9c38ce297ca911c243a52eb30a42f5d7562db6205db842ae7264b4f7a"},
+			"944bbd1b46f01e4d7d4da32ddf275533ebbccf9385b2e9794332dafabd32eaa3"},
 		{"scenario2 paper bdf2", Job{Scenario: harvester.Scenario2(harvester.PaperScale),
 			Engine: harvester.ExistingBDF2, Decimate: 1}, Options{},
-			"bc47f6f1211ca68eb5c071f183c9f36f414f2cc3bf2a4f14de0c363f2201dd08"},
+			"365018fe5c652fb4a2d9a57138dd00e81622c717aaab3b957dc470974320ad7c"},
 		{"tracking be", Job{Scenario: harvester.TrackingScenario(3, 65, 75),
 			Engine: harvester.ExistingBE}, Options{},
-			"6ef5fc58a295074801b31a46661d437d58c843e5bfd4b8518a7caf930853af7a"},
+			"cee41f24b4c2e286a204ad4f17939cf0a4de069e72955b095b12e36830299d5e"},
 		{"noise 1024 tones", Job{Scenario: noise, Seed: 7}, Options{},
-			"a006fc10ab2becd7a79b07395f43c605732ae6dc3b7225c13d3d57d73045165b"},
+			"fb1ea47656088e7ff9b1d7c23c89eaa4b07f9264960ca2471852f21cfba753d3"},
 		{"noise high seed", Job{Scenario: seeded, Group: "g", Seed: 1<<63 + 5}, Options{},
-			"a84c7cb99a48daa7dc29a761a27730584f27fb800e433df6972a0a4ec29c7c4d"},
+			"5e7fe0fab63193920fc40e5961722772f1368b0d04143938afc82ce4c8deafc6"},
 		{"bistable", Job{Scenario: bistable, Engine: harvester.Proposed}, Options{},
-			"b0139986dd3a7d355ab78bd4533d874917c8d8b1a033defc2fc7d3a6bf583078"},
+			"2caacb0123ba58d3086e81a68fd09df77726e7b7c67b0cc2709d5281b2db79a7"},
 		{"duffing trap", Job{Scenario: harvester.DuffingScenario(2, harvester.DuffingK3Moderate),
 			Engine: harvester.ExistingTrap}, Options{},
-			"75de71ec15f9daa1a78aec32d674e8e918f269812cbeeb26a68f2c6ca00e828e"},
+			"229ebd99441de3860b25635f91bdecaf1110bbb89b2357a910d41e4071bf4c76"},
 		{"settle 0.25", charge(), Options{SettleFrac: 0.25},
-			"b0ae3319a66334c69c125f4b0fb327f98c71776ce5da5f386eaa6fd83b0fe0fe"},
+			"f92a0a4038ed82fa0e52df25036f3354dbcabbfec6af4aacc043fbb1fe2e8316"},
 		{"metric key", metric, Options{},
-			"c1048bc2d3e0c0859599852a2fac320d10ccda8f1321d4d06f9d868e2b18105d"},
+			"eb2424d17f1b7b7ed1863b3f53efca69a0a247140e39aa4f0d121908b9ed98b3"},
 		{"stray metric key", stray, Options{},
-			"bc04750d267b07d36cc19c59545d61e021ab5f74750ce375b49e53897eb07e98"},
+			"399da8207b74a7afceadd6753482fd4cc2db65cdd2b0e54ad12638efa301f12a"},
 	}
 	for _, tc := range cases {
 		if got := KeyOf(tc.job, tc.opt).String(); got != tc.want {

@@ -274,17 +274,12 @@ func (e *Engine) refreshStability() error {
 // otherwise. Only computed analyses age the balancing scales, so a run
 // that never repeats a Jacobian keeps the bits it had without the memo.
 func (e *Engine) analyse() error {
-	jac := e.Sys.jac
-	vary, ok := jac.varying()
-	if !ok {
-		return e.computeStability()
-	}
-	m := e.memo
-	if len(vary) != m.width {
+	jac, m := e.Sys.jac, e.memo
+	if len(jac.vary) != m.width {
 		// A newly varying entry changes every key's shape.
-		m.empty(len(vary))
+		m.empty(len(jac.vary))
 	}
-	key, h := m.keyOf(jac.data, vary)
+	key, h := m.keyOf(jac.data, jac.vary)
 	slot, hit := m.find(key, h)
 	if hit {
 		e.hRealFE, e.rhoOsc = m.caps[slot][0], m.caps[slot][1]

@@ -30,8 +30,7 @@ const (
 // since the last clearVarying. Every entry outside it still holds the
 // bits it had then, so the varying entries' bits name the whole
 // Jacobian: the key of the proposed engine's stability memo. vary lists
-// them in the order they first changed, up to memoKeyCap, the most a
-// key holds.
+// them all, in the order they first changed.
 //
 // The stamp pattern lists, per row, the columns of every entry the
 // stamps wrote since the last rescan, ascending, plus every entry that
@@ -58,8 +57,7 @@ type jacobian struct {
 	pat    []uint16 // per row: its pattern's columns, at the row's offset in data
 	patN   []uint16 // per row: its pattern's length
 
-	nVary int             // size of the varying set
-	vary  [memoKeyCap]int // its first entries, in order of first change
+	vary []int // the varying set in order of first change; capacity len(data)
 }
 
 // jacEdit records a written entry and its value at the last drift.
@@ -79,6 +77,7 @@ func newJacobian(nx, ny int) *jacobian {
 		data:   make([]float64, n),
 		cols:   [4]int{nx, ny, nx, ny},
 		log:    make([]jacEdit, 0, n),
+		vary:   make([]int, 0, n),
 		inLog:  meta[:n:n],
 		varies: meta[n : 2*n : 2*n],
 		inPat:  meta[2*n : 3*n : 3*n],
@@ -111,16 +110,7 @@ func (j *jacobian) reset() {
 // once a drift finds its bits changed.
 func (j *jacobian) clearVarying() {
 	clear(j.varies)
-	j.nVary = 0
-}
-
-// varying returns the varying set in order of first change, or false
-// when it holds more than memoKeyCap entries.
-func (j *jacobian) varying() ([]int, bool) {
-	if j.nVary > memoKeyCap {
-		return nil, false
-	}
-	return j.vary[:j.nVary], true
+	j.vary = j.vary[:0]
 }
 
 // set stores v at (r, c) of quadrant q. When logging, the first write to
@@ -159,10 +149,7 @@ func (j *jacobian) drift() float64 {
 		cur := j.data[e.idx]
 		if j.varies[e.idx] == 0 && math.Float64bits(cur) != math.Float64bits(e.old) {
 			j.varies[e.idx] = 1
-			if j.nVary < memoKeyCap {
-				j.vary[j.nVary] = e.idx
-			}
-			j.nVary++
+			j.vary = append(j.vary, e.idx)
 		}
 		d := math.Abs(cur - e.old)
 		if d == 0 {

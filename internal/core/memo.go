@@ -8,18 +8,15 @@ import (
 	"harvsim/internal/ode"
 )
 
-// The stability memo's shape. These constants define results, not only
-// speed: an entry that misses again after the table emptied is
-// recomputed under the balancing scales in force then, and a run whose
-// varying set outgrows the key computes every analysis. Changing any of
-// them moves result bits and needs a batch.CacheSchemaVersion bump,
-// which is why they are not options.
+// The stability memo's table shape. These constants define results, not
+// only speed: an entry that misses again after the table emptied is
+// recomputed under the balancing scales in force then. Changing either
+// moves result bits and needs a batch.CacheSchemaVersion bump, which is
+// why they are not options. Nothing sizes the key: it is the run's whole
+// varying set. On the default 5-stage multiplier, Table II scenarios 1
+// and 2 vary 28 entries, a bistable run 27, a Duffing-noise run 25 and
+// the Table I charge 24; a charge through n stages varies 5n−1.
 const (
-	// memoKeyCap is the most varying Jacobian entries a key holds. On
-	// the default 5-stage multiplier, Table II scenarios 1 and 2 reach
-	// 28, a bistable run 27, a Duffing-noise run 25 and the Table I
-	// charge 24; a multiplier of 7 or more stages exceeds it.
-	memoKeyCap = 32
 	// memoSlotBits sizes the open-addressing table: memoSlots slots.
 	memoSlotBits = 8
 	memoSlots    = 1 << memoSlotBits
@@ -34,8 +31,8 @@ const (
 // the caps instead of re-solving K and forming, balancing and bounding
 // the reduced matrix.
 //
-// A key is the bits of the run's varying entries (jacobian.varying), in
-// the varying set's order; every other entry holds the bits it had when
+// A key is the bits of the run's varying entries (jacobian.vary), in the
+// varying set's order; every other entry holds the bits it had when
 // the set was last cleared, so equal keys mean bit-equal Jacobians. A
 // hit is verified against the stored key bits, never by hash alone. The
 // caps a hit returns are those computed the first time, under the
@@ -48,8 +45,10 @@ type stabMemo struct {
 	live [memoSlots]bool
 	hash [memoSlots]uint64
 	caps [memoSlots][2]float64 // hRealFE, rhoOsc
-	keys [memoSlots * memoKeyCap]uint64
-	key  [memoKeyCap]uint64 // the key being looked up
+	// keys holds slot i's key at words [i·width, (i+1)·width), and the
+	// key being looked up in the slot past the table. It grows to fit
+	// the widest varying set the memo has met and never shrinks.
+	keys []uint64
 
 	// weights serves the run's Adams-Bashforth weights. It rides in the
 	// memo so that the same recycling spares every run its ~60 KB; its
@@ -59,17 +58,22 @@ type stabMemo struct {
 }
 
 // empty drops every entry; the keys stored next are width words long.
+// A memo recycled across runs allocates only when it first meets a
+// varying set wider than any before.
 func (m *stabMemo) empty(width int) {
 	clear(m.live[:])
 	m.n = 0
 	m.width = width
+	if need := (memoSlots + 1) * width; len(m.keys) < need {
+		m.keys = make([]uint64, need)
+	}
 }
 
-// keyOf gathers the bits of data's entries at vary (at most memoKeyCap
-// of them) into the memo's key and hashes them (FNV-1a over words; find
+// keyOf gathers the bits of data's entries at vary (m.width of them)
+// into the memo's key and hashes them (FNV-1a over words; find
 // takes the slot from the top bits, which every word's bits reach).
 func (m *stabMemo) keyOf(data []float64, vary []int) (key []uint64, h uint64) {
-	key = m.key[:len(vary)]
+	key = m.keys[memoSlots*m.width:][:m.width]
 	h = 0xcbf29ce484222325
 	for i, idx := range vary {
 		w := math.Float64bits(data[idx])
@@ -106,7 +110,8 @@ func (m *stabMemo) store(slot int, key []uint64, h uint64, hReal, rho float64) {
 }
 
 // memoStore recycles stability memos process-wide, in the spirit of
-// pwl's process-wide table store. A memo is ~130 KB, and callers such as
+// pwl's process-wide table store. A memo is ~115 KB at 5 stages and
+// ~165 KB at 10, and callers such as
 // a batch run with a fresh workspace pool per job would otherwise
 // allocate one per run; a sync.Pool would drop them at every GC. The
 // free list holds at most as many memos as engines ever ran at once.

@@ -123,7 +123,7 @@ func TestStabilityMemoSignedZeroStartsToVary(t *testing.T) {
 	if r.analyse() {
 		t.Fatal("Jacobian differing by the sign of a zero was served from the memo")
 	}
-	if n := r.s.jac.nVary; n != 2 {
+	if n := len(r.s.jac.vary); n != 2 {
 		t.Fatalf("varying set holds %d entries, want 2", n)
 	}
 }
@@ -168,24 +168,65 @@ func TestStabilityMemoFirstSightCaps(t *testing.T) {
 	}
 }
 
-// TestStabilityMemoKeyCapacity: a run whose varying set outgrows
-// memoKeyCap entries computes every analysis; at the capacity it still
-// reuses.
-func TestStabilityMemoKeyCapacity(t *testing.T) {
-	for _, vary := range []int{memoKeyCap, memoKeyCap + 1} {
-		r := newMemoRig(t, 6, 2)
-		var writes []float64
-		for k := 0; k < vary; k++ {
-			writes = append(writes, float64(k/6), float64(k%6), 0.5+float64(k))
-		}
-		r.analyse(writes...)
-		reused := r.analyse(writes...)
-		if r.s.jac.nVary != vary {
-			t.Fatalf("varying set holds %d entries, want %d", r.s.jac.nVary, vary)
-		}
-		if want := vary <= memoKeyCap; reused != want {
-			t.Errorf("%d varying entries: repeat reused %v, want %v", vary, reused, want)
-		}
+// TestStabilityMemoWideKey: the key is the whole varying set, however
+// wide. With every entry of a 6×6 Jxx varying (36, more than the 5-stage
+// multiplier's 24 to 28), a repeated Jacobian is served from the memo
+// and one differing in the last entry to vary is not.
+func TestStabilityMemoWideKey(t *testing.T) {
+	r := newMemoRig(t, 6, 2)
+	var writes []float64
+	for k := 0; k < 36; k++ {
+		writes = append(writes, float64(k/6), float64(k%6), 0.5+float64(k))
+	}
+	if r.analyse(writes...) {
+		t.Fatal("first sight reused")
+	}
+	if n := len(r.s.jac.vary); n != 36 {
+		t.Fatalf("varying set holds %d entries, want 36", n)
+	}
+	if !r.analyse(writes...) {
+		t.Fatal("repeated 36-entry Jacobian missed")
+	}
+	if r.analyse(5, 5, math.Nextafter(35.5, 36)) {
+		t.Fatal("Jacobian differing in the last varying entry was served from the memo")
+	}
+	if !r.analyse(5, 5, 35.5) {
+		t.Fatal("first Jacobian missed on its return")
+	}
+}
+
+// TestStabilityMemoKeyStorage: the key storage grows to fit the widest
+// varying set a memo has met and never shrinks, so a recycled memo
+// serves a narrower run without allocating, and nothing of the wider
+// keys it held is found under the narrower width.
+func TestStabilityMemoKeyStorage(t *testing.T) {
+	m := new(stabMemo)
+	data := make([]float64, 40)
+	for i := range data {
+		data[i] = float64(i) + 0.25
+	}
+	wide := make([]int, 40)
+	for i := range wide {
+		wide[i] = i
+	}
+	m.empty(len(wide))
+	key, h := m.keyOf(data, wide)
+	slot, _ := m.find(key, h)
+	m.store(slot, key, h, 1, 2)
+	grown := len(m.keys)
+	if grown < (memoSlots+1)*40 {
+		t.Fatalf("key storage %d words, want at least %d", grown, (memoSlots+1)*40)
+	}
+	narrow := wide[:3]
+	if n := testing.AllocsPerRun(10, func() { m.empty(len(narrow)) }); n != 0 {
+		t.Fatalf("emptying to a narrower width allocates %.0f objects, want 0", n)
+	}
+	if len(m.keys) != grown {
+		t.Fatalf("key storage shrank from %d to %d words", grown, len(m.keys))
+	}
+	key, h = m.keyOf(data, narrow)
+	if _, hit := m.find(key, h); hit {
+		t.Fatal("emptied memo hit")
 	}
 }
 

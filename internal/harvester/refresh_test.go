@@ -181,6 +181,20 @@ func TestNoRepeatRunsUnmoved(t *testing.T) {
 	}
 }
 
+// TestWideMultiplierReusesAnalyses: the memo's key is the whole varying
+// set, however wide, so the design-grid charge through 7 and 10 stages
+// (34 and 49 varying entries) reuses at least 85% of its analyses, as
+// the 5- and 6-stage charges do (489 of 544 and 711 of 802).
+func TestWideMultiplierReusesAnalyses(t *testing.T) {
+	for _, n := range []int{7, 10} {
+		s := proposedStats(t, gridCharge(n))
+		if s.StabilityReused*100 < 85*s.StabilityRecomputes {
+			t.Errorf("%d stages: %d of %d analyses reused, want at least 85%%",
+				n, s.StabilityReused, s.StabilityRecomputes)
+		}
+	}
+}
+
 // TestRecycledMemoRunsFresh: the stability memo's storage is recycled
 // across engines, and a charge run on the storage a scenario-1 run and
 // then a 10-stage charge, with its wider keys, just handed back equals
