@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"harvsim/internal/blocks"
 	"harvsim/internal/harvester"
 )
 
@@ -255,6 +256,24 @@ func TestErrorCaptureIsolated(t *testing.T) {
 	}
 	if results[0].RMSPower <= 0 || results[2].RMSPower <= 0 {
 		t.Fatalf("healthy jobs produced no power metric")
+	}
+}
+
+// TestStageCountOutOfRangeFailsJob: a multiplier stage count outside
+// [1, blocks.MaxDicksonStages] fails its job with the validation error
+// instead of panicking in the worker, and the jobs around it run.
+func TestStageCountOutOfRangeFailsJob(t *testing.T) {
+	jobs := []Job{chargeJob(0.1), chargeJob(0.1), chargeJob(0.1), chargeJob(0.1)}
+	jobs[1].Scenario.Cfg.Dickson.Stages = 0
+	jobs[2].Scenario.Cfg.Dickson.Stages = blocks.MaxDicksonStages + 1
+	results := Run(context.Background(), jobs, Options{Workers: 2})
+	for i, r := range results {
+		if bad := i == 1 || i == 2; (r.Err != nil) != bad {
+			t.Errorf("job %d (%d stages): error %v, want failed %v",
+				i, jobs[i].Scenario.Cfg.Dickson.Stages, r.Err, bad)
+		} else if bad && !strings.Contains(r.Err.Error(), "stage count") {
+			t.Errorf("job %d: error %q does not name the stage count", i, r.Err)
+		}
 	}
 }
 

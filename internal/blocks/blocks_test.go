@@ -233,6 +233,40 @@ func TestDicksonStageVoltagesOrdered(t *testing.T) {
 	}
 }
 
+// TestDicksonStageBounds: a multiplier is valid with 1 to
+// MaxDicksonStages stages and a diode, and NewDickson panics exactly
+// when DicksonParams.Validate errs.
+func TestDicksonStageBounds(t *testing.T) {
+	for _, c := range []struct {
+		stages int
+		diode  bool
+		valid  bool
+	}{
+		{-1, true, false}, {0, true, false}, {1, true, true}, {5, true, true},
+		{MaxDicksonStages, true, true}, {MaxDicksonStages + 1, true, false},
+		{1 << 40, true, false}, {5, false, false},
+	} {
+		p := DefaultDickson(64)
+		p.Stages = c.stages
+		if !c.diode {
+			p.Diode = nil
+		}
+		err := p.Validate()
+		if (err == nil) != c.valid {
+			t.Errorf("%d stages, diode %v: Validate = %v, want valid %v", c.stages, c.diode, err, c.valid)
+		}
+		func() {
+			defer func() {
+				if panicked := recover() != nil; panicked != (err != nil) {
+					t.Errorf("%d stages, diode %v: NewDickson panicked %v, Validate erred %v",
+						c.stages, c.diode, panicked, err != nil)
+				}
+			}()
+			NewDickson("mult", p)
+		}()
+	}
+}
+
 func TestSupercapBranchRedistribution(t *testing.T) {
 	// Charge through the terminal with a stiff source at 2 V: the
 	// immediate branch charges within seconds; the delayed and long-term

@@ -1,6 +1,7 @@
 package blocks
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -24,6 +25,26 @@ type DicksonParams struct {
 	CStage float64
 	COut   float64
 	Diode  *pwl.Diode
+}
+
+// MaxDicksonStages bounds the multiplier's stage count at the width of
+// its restamp mask (diodeBit). The system Jacobian is dense, so a stage
+// count taken from a request must not size it without bound.
+const MaxDicksonStages = 64
+
+// Validate reports whether p describes a buildable multiplier: a stage
+// count within [1, MaxDicksonStages] and a diode model. It is THE
+// definition of validity — NewDickson panics exactly when it errs, and
+// the harvester's Config.Validate wraps it so a bad batch-sweep axis
+// value fails its job rather than its worker.
+func (p DicksonParams) Validate() error {
+	if p.Stages < 1 || p.Stages > MaxDicksonStages {
+		return fmt.Errorf("blocks: Dickson stage count %d outside [1, %d]", p.Stages, MaxDicksonStages)
+	}
+	if p.Diode == nil {
+		return errors.New("blocks: Dickson needs a diode model")
+	}
+	return nil
 }
 
 // DefaultDickson returns the 5-stage multiplier used by the harvester
@@ -61,19 +82,16 @@ type Dickson struct {
 // allDiodes is the stamp mask of a full restamp.
 const allDiodes = ^uint64(0)
 
-// diodeBit returns diode i's bit (1-based) in a stamp mask. Diodes past
-// the 64th share the top bit, so a change to any of them restamps the
-// rows of all of them: more than needed, never less.
-func diodeBit(i int) uint64 { return 1 << min(i-1, 63) }
+// diodeBit returns diode i's bit (1-based, at most MaxDicksonStages) in
+// a stamp mask.
+func diodeBit(i int) uint64 { return 1 << (i - 1) }
 
 // NewDickson returns a multiplier block named name with terminals
-// "Vm"/"Im" on the input and "Vc"/"Ic" on the output.
+// "Vm"/"Im" on the input and "Vc"/"Ic" on the output. It panics when
+// p.Validate errs.
 func NewDickson(name string, p DicksonParams) *Dickson {
-	if p.Stages < 1 {
-		panic(fmt.Sprintf("blocks: Dickson needs >= 1 stage, got %d", p.Stages))
-	}
-	if p.Diode == nil {
-		panic("blocks: Dickson needs a diode model")
+	if err := p.Validate(); err != nil {
+		panic(err)
 	}
 	return &Dickson{
 		P:     p,

@@ -115,9 +115,10 @@ func TestStateOnlyBlocksRepeat(t *testing.T) {
 // bits of a twin that restamps everything (a full mask, forced by
 // ResetLinearisation before each call), over seeded operating points
 // that move all diodes, one diode, or none, across segment changes and
-// the merged reverse-bias span; 3, 5 and 8 stages.
+// the merged reverse-bias span; 3, 5 and 8 stages, and MaxDicksonStages,
+// whose last diode takes the mask's top bit.
 func TestDicksonMaskedRestampMatchesFull(t *testing.T) {
-	for _, stages := range []int{3, 5, 8} {
+	for _, stages := range []int{3, 5, 8, MaxDicksonStages} {
 		p := DefaultDickson(1024)
 		p.Stages = stages
 		masked := NewDickson("mult", p)

@@ -15,7 +15,10 @@ import (
 // finite energy accounting. Softening springs (K3 < 0) are generated
 // too: they can make the device genuinely unstable, in which case the
 // engine must report divergence as an error, not NaN-poisoned output.
+// The multiplier's stage count is generated too, on both sides of
+// [1, blocks.MaxDicksonStages]: a count outside it must fail assembly.
 func FuzzScenarioConfig(f *testing.F) {
+	const stageBias = 16 // operand 15's high byte minus this is the stage count
 	f.Add([]byte{})
 	f.Add([]byte("duffing-and-noise-seed-corpus-01"))
 	f.Add([]byte{255, 0, 128, 64, 32, 16, 8, 4, 2, 1, 0, 255, 77, 200, 13, 99, 1, 2, 3, 4})
@@ -26,10 +29,17 @@ func FuzzScenarioConfig(f *testing.F) {
 		20, 0, 180, 0, 40, 0, 8, 0, 200, 0, // fLo/rms/fHi/tones/seed
 		220, 0, 160, 0, 140, 0, 255, 255, 10, 10, // bistable gate/well/barrier/xi1/xi2
 	})
+	// Multiplier sizes (operand 15): 0 and 65 stages fail assembly, 7 run.
+	for _, stages := range []byte{0, 65, 7} {
+		seed := make([]byte, 32)
+		copy(seed, []byte{40, 0, 100, 0, 60, 0})
+		seed[30] = stageBias + stages
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Consume 16-bit operands; missing bytes read as zero so every
 		// prefix is a valid input.
-		frac := func(i int) float64 {
+		word := func(i int) uint16 {
 			var hi, lo byte
 			if 2*i < len(data) {
 				hi = data[2*i]
@@ -37,8 +47,9 @@ func FuzzScenarioConfig(f *testing.F) {
 			if 2*i+1 < len(data) {
 				lo = data[2*i+1]
 			}
-			return float64(uint16(hi)<<8|uint16(lo)) / 65535
+			return uint16(hi)<<8 | uint16(lo)
 		}
+		frac := func(i int) float64 { return float64(word(i)) / 65535 }
 		sc := ChargeScenario(0.03 + frac(0)*0.05)
 		sc.Cfg.InitialVc = frac(1) * 4
 		sc.Cfg.VibAmplitude = frac(2) * 1.5
@@ -67,6 +78,9 @@ func FuzzScenarioConfig(f *testing.F) {
 			sc.Cfg.VibNoise.FHi = fLo + 0.2 + frac(7)*60
 			sc.Cfg.VibNoise.Tones = 1 + int(frac(8)*63)
 			sc.Cfg.VibNoise.Seed = uint64(frac(9) * 65535)
+		}
+		if w := word(15); w != 0 { // a zero operand keeps the default 5 stages
+			sc.Cfg.Dickson.Stages = int(w>>8) - stageBias // −16 .. 239
 		}
 
 		h, err := Assemble(sc)

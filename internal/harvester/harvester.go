@@ -80,6 +80,9 @@ func (c Config) Validate() error {
 	if err := c.VibNoise.Validate(); err != nil {
 		return fmt.Errorf("harvester: %w", err)
 	}
+	if err := c.Dickson.Validate(); err != nil {
+		return fmt.Errorf("harvester: %w", err)
+	}
 	for _, f := range [...]float64{c.Microgen.K3, c.Microgen.K1, c.Microgen.Xi1,
 		c.Microgen.Xi2, c.Microgen.Z0, c.VibAmplitude, c.VibFreq} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {

@@ -632,6 +632,38 @@ func TestInvalidJobFailsCleanly(t *testing.T) {
 	}
 }
 
+// TestBadStageCountFailsJobAndServes: a sweep point with a 0-stage
+// multiplier compiles, fails as one job with the validation error, and
+// the server goes on serving: healthz answers and the next sweep runs.
+func TestBadStageCountFailsJobAndServes(t *testing.T) {
+	srv := New(Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := wire.Spec{
+		Scenario: wire.Scenario{Kind: "charge", DurationS: 0.05},
+		Axes:     []wire.Axis{{Kind: wire.AxisInt, Param: "dickson.stages", Ints: []int{5, 0}}},
+	}
+	results, summary := streamSweep(t, ts, postSweep(t, ts, wire.SweepRequest{Spec: spec}))
+	if summary.Failed != 1 || len(results) != 2 {
+		t.Fatalf("%d results, %d failed; want 2, 1", len(results), summary.Failed)
+	}
+	for _, r := range results {
+		if bad := r.Name == "charge[dickson.stages=0]"; (r.Error != "") != bad {
+			t.Errorf("unexpected error state: %+v", r)
+		}
+	}
+	var h wire.Health
+	getJSON(t, ts, "/healthz", &h)
+	if h.Status != "ok" {
+		t.Fatalf("health after the failed job: %+v", h)
+	}
+	spec.Axes[0].Ints = []int{3}
+	if _, summary := streamSweep(t, ts, postSweep(t, ts, wire.SweepRequest{Spec: spec})); summary.Failed != 0 {
+		t.Fatalf("next sweep: %d failed, want 0", summary.Failed)
+	}
+}
+
 // TestHealthz: liveness probe.
 func TestHealthz(t *testing.T) {
 	srv := New(Options{})

@@ -2,8 +2,10 @@
 # End-to-end smoke of the sweep service: builds cmd/serve, starts it on
 # a kernel-assigned loopback port, POSTs the 64-point benchmark grid
 # twice and asserts the warm repeat is served entirely from the shared
-# cache (64/64 hits, zero engine runs) with bit-identical metrics, and
-# that the /metrics exposition agrees with the streamed summaries.
+# cache (64/64 hits, zero engine runs) with bit-identical metrics, that
+# the /metrics exposition agrees with the streamed summaries, and that a
+# sweep point with a 0-stage multiplier fails alone without stopping the
+# server.
 # Requires curl and jq (both present on the CI runners).
 set -e
 
@@ -102,4 +104,20 @@ if [ "$(metric harvsim_cache_hits_total)" != "$STATS_HITS" ]; then
   exit 1
 fi
 
-echo "serversmoke OK: warm repeat $HITS/$JOBS cache hits, metrics bit-identical, /metrics consistent"
+# A point the wire compiles but the harvester rejects (a 0-stage
+# multiplier) fails as one job, and the server goes on serving.
+SPEC='{"spec":{"name":"bad","scenario":{"kind":"charge","duration_s":0.05},"axes":[{"kind":"int","param":"dickson.stages","ints":[0]}]}}'
+run_sweep > "$WORK/bad.ndjson"
+BAD_FAILED=$(summary "$WORK/bad.ndjson" | jq .failed)
+if [ "$BAD_FAILED" != "1" ]; then
+  echo "serversmoke: a 0-stage sweep reported $BAD_FAILED failed jobs, want 1" >&2
+  cat "$WORK/serve.log" >&2
+  exit 1
+fi
+if ! curl -fsS "$BASE/healthz" | jq -e '.status == "ok"' > /dev/null; then
+  echo "serversmoke: server stopped answering after a 0-stage sweep" >&2
+  cat "$WORK/serve.log" >&2
+  exit 1
+fi
+
+echo "serversmoke OK: warm repeat $HITS/$JOBS cache hits, metrics bit-identical, /metrics consistent, bad point failed alone"
