@@ -34,8 +34,8 @@ import (
 // v4: the proposed engine memoises its stability analysis within a run,
 // and a repeated Jacobian reuses the caps computed under the balancing
 // scales of its first sight, which moves result bits of every run that
-// repeats one (the memo's constants, its key width and table size, are
-// part of this version); FinalVc and the Vc the MCU reads
+// repeats one (the memo's constants, its 32-entry key cap and its table
+// size, are part of this version); FinalVc and the Vc the MCU reads
 // come from the latest observed point instead of the decimated trace;
 // and EngineStats gained StabilityReused.
 //
