@@ -243,37 +243,35 @@ func TestFinalVcIgnoresDecimation(t *testing.T) {
 	}
 }
 
+// TestErrorCaptureIsolated: an invalid job fails with its validation
+// error, never a panic in the worker, and the jobs around it run. A
+// multiplier stage count outside [1, blocks.MaxDicksonStages] is one
+// such error.
 func TestErrorCaptureIsolated(t *testing.T) {
-	good := chargeJob(0.3)
-	bad := chargeJob(0.3)
-	bad.Scenario.Shifts = []harvester.FreqShift{{T: 5, Hz: 71}} // beyond horizon
-	results := Run(context.Background(), []Job{good, bad, good}, Options{Workers: 3})
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Fatalf("healthy jobs failed: %v, %v", results[0].Err, results[2].Err)
-	}
-	if results[1].Err == nil {
-		t.Fatal("invalid job must report its error")
-	}
-	if results[0].RMSPower <= 0 || results[2].RMSPower <= 0 {
-		t.Fatalf("healthy jobs produced no power metric")
-	}
-}
-
-// TestStageCountOutOfRangeFailsJob: a multiplier stage count outside
-// [1, blocks.MaxDicksonStages] fails its job with the validation error
-// instead of panicking in the worker, and the jobs around it run.
-func TestStageCountOutOfRangeFailsJob(t *testing.T) {
-	jobs := []Job{chargeJob(0.1), chargeJob(0.1), chargeJob(0.1), chargeJob(0.1)}
-	jobs[1].Scenario.Cfg.Dickson.Stages = 0
-	jobs[2].Scenario.Cfg.Dickson.Stages = blocks.MaxDicksonStages + 1
-	results := Run(context.Background(), jobs, Options{Workers: 2})
-	for i, r := range results {
-		if bad := i == 1 || i == 2; (r.Err != nil) != bad {
-			t.Errorf("job %d (%d stages): error %v, want failed %v",
-				i, jobs[i].Scenario.Cfg.Dickson.Stages, r.Err, bad)
-		} else if bad && !strings.Contains(r.Err.Error(), "stage count") {
-			t.Errorf("job %d: error %q does not name the stage count", i, r.Err)
-		}
+	for _, c := range []struct {
+		name  string
+		spoil func(*harvester.Scenario)
+		msg   string // a substring of the job's error
+	}{
+		{"shift-beyond-horizon", func(sc *harvester.Scenario) { sc.Shifts = []harvester.FreqShift{{T: 5, Hz: 71}} }, "horizon"},
+		{"0-stages", func(sc *harvester.Scenario) { sc.Cfg.Dickson.Stages = 0 }, "stage count"},
+		{"too-many-stages", func(sc *harvester.Scenario) { sc.Cfg.Dickson.Stages = blocks.MaxDicksonStages + 1 }, "stage count"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			good := chargeJob(0.3)
+			bad := chargeJob(0.3)
+			c.spoil(&bad.Scenario)
+			results := Run(context.Background(), []Job{good, bad, good}, Options{Workers: 3})
+			if results[0].Err != nil || results[2].Err != nil {
+				t.Fatalf("healthy jobs failed: %v, %v", results[0].Err, results[2].Err)
+			}
+			if results[1].Err == nil || !strings.Contains(results[1].Err.Error(), c.msg) {
+				t.Fatalf("invalid job's error %v does not name %q", results[1].Err, c.msg)
+			}
+			if results[0].RMSPower <= 0 || results[2].RMSPower <= 0 {
+				t.Fatalf("healthy jobs produced no power metric")
+			}
+		})
 	}
 }
 

@@ -244,7 +244,7 @@ func TestDicksonStageBounds(t *testing.T) {
 	}{
 		{-1, true, false}, {0, true, false}, {1, true, true}, {5, true, true},
 		{MaxDicksonStages, true, true}, {MaxDicksonStages + 1, true, false},
-		{1 << 40, true, false}, {5, false, false},
+		{math.MaxInt32, true, false}, {5, false, false},
 	} {
 		p := DefaultDickson(64)
 		p.Stages = c.stages

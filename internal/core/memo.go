@@ -111,10 +111,11 @@ func (m *stabMemo) store(slot int, key []uint64, h uint64, hReal, rho float64) {
 
 // memoStore recycles stability memos process-wide, in the spirit of
 // pwl's process-wide table store. A memo is ~115 KB at 5 stages and
-// ~165 KB at 10, and callers such as a batch run with a fresh workspace
-// pool per job would otherwise allocate one per run; a sync.Pool would
-// drop them at every GC. The free list holds at most as many memos as
-// engines ever ran at once.
+// ~165 KB at 10, and its keys keep the widest size it has met (~0.66 MB
+// after a run at blocks.MaxDicksonStages). Callers such as a batch run
+// with a fresh workspace pool per job would otherwise allocate one per
+// run; a sync.Pool would drop them at every GC. The free list holds at
+// most as many memos as engines ever ran at once.
 var memoStore struct {
 	mu   sync.Mutex
 	free []*stabMemo

@@ -18,7 +18,7 @@ import (
 // The multiplier's stage count is generated too, on both sides of
 // [1, blocks.MaxDicksonStages]: a count outside it must fail assembly.
 func FuzzScenarioConfig(f *testing.F) {
-	const stageBias = 16 // operand 15's high byte minus this is the stage count
+	const stageBias = 16 // operand 16's high byte minus this is the stage count
 	f.Add([]byte{})
 	f.Add([]byte("duffing-and-noise-seed-corpus-01"))
 	f.Add([]byte{255, 0, 128, 64, 32, 16, 8, 4, 2, 1, 0, 255, 77, 200, 13, 99, 1, 2, 3, 4})
@@ -29,11 +29,12 @@ func FuzzScenarioConfig(f *testing.F) {
 		20, 0, 180, 0, 40, 0, 8, 0, 200, 0, // fLo/rms/fHi/tones/seed
 		220, 0, 160, 0, 140, 0, 255, 255, 10, 10, // bistable gate/well/barrier/xi1/xi2
 	})
-	// Multiplier sizes (operand 15): 0 and 65 stages fail assembly, 7 run.
+	// Multiplier sizes (operand 16, past every shorter seed and corpus
+	// entry): 0 and 65 stages fail assembly, 7 run.
 	for _, stages := range []byte{0, 65, 7} {
-		seed := make([]byte, 32)
+		seed := make([]byte, 34)
 		copy(seed, []byte{40, 0, 100, 0, 60, 0})
-		seed[30] = stageBias + stages
+		seed[32] = stageBias + stages
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -79,7 +80,7 @@ func FuzzScenarioConfig(f *testing.F) {
 			sc.Cfg.VibNoise.Tones = 1 + int(frac(8)*63)
 			sc.Cfg.VibNoise.Seed = uint64(frac(9) * 65535)
 		}
-		if w := word(15); w != 0 { // a zero operand keeps the default 5 stages
+		if w := word(16); w != 0 { // a zero operand keeps the default 5 stages
 			sc.Cfg.Dickson.Stages = int(w>>8) - stageBias // −16 .. 239
 		}
 

@@ -604,63 +604,51 @@ func TestShardIndicesSubset(t *testing.T) {
 }
 
 // TestInvalidJobFailsCleanly: a spec that compiles but whose axis drives
-// the config invalid fails per job with the validation error, and the
-// shared cache is untouched by those jobs.
+// the config invalid fails per job with the validation error, the shared
+// cache is untouched by those jobs, and the server goes on serving. A
+// 0-stage multiplier is one such config; it once panicked a worker and
+// took the server down.
 func TestInvalidJobFailsCleanly(t *testing.T) {
-	srv := New(Options{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, c := range []struct {
+		name    string
+		spec    wire.Spec
+		badName string // the one job that must fail
+	}{
+		{"noise-band", wire.Spec{
+			Scenario: wire.Scenario{Kind: "noise", DurationS: 0.25, NoiseFLoHz: 55, NoiseFHiHz: 85, NoiseSeed: 1},
+			Axes: []wire.Axis{
+				// FHi below FLo makes the noise spec invalid.
+				{Kind: wire.AxisFloat, Param: "noise.fhi_hz", Values: []float64{85, 10}},
+			},
+		}, "noise[noise.fhi_hz=10]"},
+		{"0-stages", wire.Spec{
+			Scenario: wire.Scenario{Kind: "charge", DurationS: 0.05},
+			Axes:     []wire.Axis{{Kind: wire.AxisInt, Param: "dickson.stages", Ints: []int{5, 0}}},
+		}, "charge[dickson.stages=0]"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := New(Options{})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
 
-	acc := postSweep(t, ts, wire.SweepRequest{Spec: wire.Spec{
-		Scenario: wire.Scenario{Kind: "noise", DurationS: 0.25, NoiseFLoHz: 55, NoiseFHiHz: 85, NoiseSeed: 1},
-		Axes: []wire.Axis{
-			// FHi below FLo makes the noise spec invalid.
-			{Kind: wire.AxisFloat, Param: "noise.fhi_hz", Values: []float64{85, 10}},
-		},
-	}})
-	results, summary := streamSweep(t, ts, acc)
-	if summary.Failed != 1 {
-		t.Fatalf("summary.Failed = %d, want 1", summary.Failed)
-	}
-	for _, r := range results {
-		if (r.Error != "") != (r.Name == "noise[noise.fhi_hz=10]") {
-			t.Errorf("unexpected error state: %+v", r)
-		}
-	}
-	if st := srv.Cache().Stats(); st.Entries != 1 {
-		t.Errorf("cache entries = %d, want 1 (the valid job only)", st.Entries)
-	}
-}
-
-// TestBadStageCountFailsJobAndServes: a sweep point with a 0-stage
-// multiplier compiles, fails as one job with the validation error, and
-// the server goes on serving: healthz answers and the next sweep runs.
-func TestBadStageCountFailsJobAndServes(t *testing.T) {
-	srv := New(Options{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	spec := wire.Spec{
-		Scenario: wire.Scenario{Kind: "charge", DurationS: 0.05},
-		Axes:     []wire.Axis{{Kind: wire.AxisInt, Param: "dickson.stages", Ints: []int{5, 0}}},
-	}
-	results, summary := streamSweep(t, ts, postSweep(t, ts, wire.SweepRequest{Spec: spec}))
-	if summary.Failed != 1 || len(results) != 2 {
-		t.Fatalf("%d results, %d failed; want 2, 1", len(results), summary.Failed)
-	}
-	for _, r := range results {
-		if bad := r.Name == "charge[dickson.stages=0]"; (r.Error != "") != bad {
-			t.Errorf("unexpected error state: %+v", r)
-		}
-	}
-	var h wire.Health
-	getJSON(t, ts, "/healthz", &h)
-	if h.Status != "ok" {
-		t.Fatalf("health after the failed job: %+v", h)
-	}
-	spec.Axes[0].Ints = []int{3}
-	if _, summary := streamSweep(t, ts, postSweep(t, ts, wire.SweepRequest{Spec: spec})); summary.Failed != 0 {
-		t.Fatalf("next sweep: %d failed, want 0", summary.Failed)
+			results, summary := streamSweep(t, ts, postSweep(t, ts, wire.SweepRequest{Spec: c.spec}))
+			if summary.Failed != 1 || len(results) != 2 {
+				t.Fatalf("%d results, %d failed; want 2, 1", len(results), summary.Failed)
+			}
+			for _, r := range results {
+				if (r.Error != "") != (r.Name == c.badName) {
+					t.Errorf("unexpected error state: %+v", r)
+				}
+			}
+			if st := srv.Cache().Stats(); st.Entries != 1 {
+				t.Errorf("cache entries = %d, want 1 (the valid job only)", st.Entries)
+			}
+			var h wire.Health
+			getJSON(t, ts, "/healthz", &h)
+			if h.Status != "ok" {
+				t.Fatalf("health after the failed job: %+v", h)
+			}
+		})
 	}
 }
 
